@@ -8,7 +8,7 @@ independent geometric sweep.
 """
 
 from .boolmat import BitMatrix
-from .errors import InternalInvariantError, ParseError
+from .errors import InternalInvariantError, ParseError, ResourceLimitError
 from .invariants import (
     InvariantReport,
     circle_count,
@@ -53,6 +53,7 @@ __all__ = [
     "InvariantReport",
     "MonoidSpec",
     "ParseError",
+    "ResourceLimitError",
     "TangleState",
     "act",
     "add_value",

@@ -7,8 +7,9 @@ auto-detected by the first character: '(' starts a symbol word like
 cup).
 
 Exit codes: 0 success, 1 invalid input (with 1-based position
-diagnostics), 2 internal invariant violation (rewrite watchdog, method
-disagreement, selftest failure).  All randomness is seeded and the seed
+diagnostics), 2 internal invariant violation (method disagreement,
+selftest failure), 3 resource limit reached (the rewrite watchdog of
+normalize --max-steps).  All randomness is seeded and the seed
 is echoed, so any failure replays.
 """
 
@@ -19,7 +20,7 @@ import random
 import sys
 
 from . import invariants, rewriting, oracle, states, words
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, ResourceLimitError
 from .lomonoid import MonoidSpec, count_monoid, prime_monoid
 from .operators import apply_generator, cap, cup, eval_word, mirror
 from .states import trivial
@@ -28,6 +29,7 @@ from .words import format_sym, parse_word, to_gen_word, to_sym_word
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INTERNAL = 2
+EXIT_LIMIT = 3
 
 
 def _monoid(name: str) -> MonoidSpec:
@@ -54,6 +56,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    if args.max_steps < 0:
+        raise ValueError(f"--max-steps must be >= 0, got {args.max_steps}")
     sym = to_sym_word(parse_word(args.word))
     normal, trace = rewriting.normalize(sym, max_rewrites=args.max_steps)
     if args.trace:
@@ -129,7 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="rewrite to a word of (+-2,0) symbols")
     p.add_argument("word")
     p.add_argument("--trace", action="store_true", help="print one line per rewrite")
-    p.add_argument("--max-steps", type=int, default=rewriting.DEFAULT_MAX_REWRITES)
+    p.add_argument(
+        "--max-steps", type=int, default=rewriting.DEFAULT_MAX_REWRITES,
+        help="rewrites allowed before giving up with exit 3",
+    )
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("invariant", help="compute the invariant both ways")
@@ -173,6 +180,9 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"INTERNAL: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ResourceLimitError as exc:
+        print(f"LIMIT: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except ValueError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_INVALID

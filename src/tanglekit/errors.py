@@ -3,8 +3,10 @@
 Input-side problems (bad syntax, out-of-range slots, violated word
 conditions) raise ValueError subclasses and map to exit code 1 in the CLI.
 InternalInvariantError marks states the library promises can never be
-reached (rewrite watchdog, closure iteration bound, method disagreement);
-the CLI maps it to exit code 2.
+reached (closure iteration bound, method disagreement); the CLI maps it
+to exit code 2.  ResourceLimitError marks a configured work limit that
+valid input can reach (the rewrite watchdog); the CLI maps it to exit
+code 3.
 """
 
 
@@ -18,3 +20,8 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message)
         self.position = position
+
+
+class ResourceLimitError(RuntimeError):
+    """A configured work limit (the rewrite watchdog) was reached before
+    the answer; the input may be fine, it needs a larger limit."""

@@ -16,11 +16,22 @@ of a nesting forest of circles:
           R3.1 forward, then retry step 3;
   step 5  stop when no (-2,k)(2,l) pair with k <= l-2 remains.
 
-All rewrites go through words.apply_relation, so the recorded trace
-replays exactly.  Termination is watched two ways: a global rewrite cap
-(an implementation-bug tripwire, CLI-configurable), and the invariant
-that the sort potential strictly decreases between consecutive step-3
-visits with no step-1 pass in between.
+Rewrites happen in place on a list, with the replacement formulas
+words.apply_relation uses (words.rewrite_pair).  Each rewrite changes
+two adjacent symbols, so every leftmost-match scan resumes one place
+left of the last rewrite, and the validity condition is checked
+exactly on the two new symbols alone: no other symbol's pre/post sum
+can change (R1 deletes a pair of net sign zero, R2 and R4 keep signs,
+R3 swaps two adjacent signs).  The potential is updated by deltas and
+the trace is kept as compact records, replayed into RewriteSteps only
+when read.  A rewrite thus costs O(1) work; the word is rescanned from
+the start only after an R1 deletion.  Replaying a trace through
+words.apply_relation reproduces every step's word.
+
+Termination is watched two ways: a global rewrite cap (a resource
+limit, CLI-configurable, raising ResourceLimitError), and the
+invariant that the sort potential strictly decreases between
+consecutive step-3 visits with no step-1 pass in between.
 
 Every choice here is deterministic (leftmost match everywhere) so the
 trace is stable enough for golden tests.
@@ -29,15 +40,18 @@ Forests are nested tuples: a tree is the tuple of its child trees, a
 forest is a tuple of trees.  The canonical form orders siblings by
 their parenthesis strings, shorter first then lexicographic; it is
 chosen independently of the numeric invariants so the two can
-cross-check each other.
+cross-check each other.  The forest helpers walk iteratively, so any
+depth of nesting works.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import InternalInvariantError
-from .words import SymWord, apply_relation, check_validity, format_sym, require_valid
+from .errors import InternalInvariantError, ResourceLimitError
+from .words import SymWord, format_sym, out_of_bounds, require_valid, rewrite_pair
 
 DEFAULT_MAX_REWRITES = 10**6
 
@@ -91,6 +105,49 @@ class RewriteStep:
         return f"step{self.step} {self.rule}{mark} @{self.pos + 1} {format_sym(self.word)}"
 
 
+class Trace(Sequence):
+    """The RewriteSteps of one normalize call, built only when read.
+
+    normalize records one compact (step, rule, forward, pos, replacement,
+    potential) tuple per rewrite; the steps, each holding the whole word,
+    are made by replaying those records on the input word.  Iterating
+    streams the steps without keeping them; the first index access
+    builds and keeps them all.  Equal to the list of the same steps.
+    """
+
+    __slots__ = ("_start", "_records", "_steps")
+
+    def __init__(self, start: SymWord, records: list):
+        self._start = start
+        self._records = records
+        self._steps: list[RewriteStep] | None = None
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self):
+        if self._steps is not None:
+            yield from self._steps
+            return
+        word = list(self._start)
+        for step, rule, forward, pos, replacement, potential in self._records:
+            word[pos:pos + 2] = replacement
+            yield RewriteStep(step, rule, forward, pos, tuple(word), potential)
+
+    def __getitem__(self, index):
+        if self._steps is None:
+            self._steps = list(self)
+        return self._steps[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, Trace)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+
 class _Watchdog:
     def __init__(self, limit: int):
         self.limit = limit
@@ -99,85 +156,129 @@ class _Watchdog:
     def tick(self) -> None:
         self.count += 1
         if self.count > self.limit:
-            raise InternalInvariantError(
+            raise ResourceLimitError(
                 f"rewrite watchdog tripped after {self.limit} rewrites"
             )
 
 
-def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, list[RewriteStep]]:
-    """Rewrite to a word of (+-2, 0) symbols; returns (word, trace)."""
+def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, Trace]:
+    """Rewrite to a word of (+-2, 0) symbols; returns (word, trace).
+
+    Each rewrite costs O(1) work apart from the scans for the next
+    match, which resume next to the last rewrite; a full rescan happens
+    only after an R1 deletion, at most len(sym)/2 times.
+    """
     require_valid(sym)
-    word = tuple(sym)
-    trace: list[RewriteStep] = []
+    start = tuple(sym)
+    word = list(start)
+    # pre[i] = sum of c over word[:i]; -pre[i] points lie below symbol i
+    pre = list(accumulate((c for c, _ in word), initial=0))
+    total = pre[-1]
+    # rewrite_potential, kept up to date by deltas: (sum of the 1-based
+    # positions of the (2,*) symbols, -sum of c*d/2)
+    pos_sum, d_balance = rewrite_potential(word)
+    records: list = []
     dog = _Watchdog(max_rewrites)
 
-    def record(step: int, rule: str, forward: bool, pos: int, new_word: SymWord) -> SymWord:
+    def rewrite(step: int, rule: str, forward: bool, i: int) -> None:
+        nonlocal pos_sum, d_balance
+        a, b = word[i], word[i + 1]
+        (ca, da), (cb, db) = a, b
+        new = rewrite_pair(rule, a, b, forward)
+        if new:
+            (na, ea), (nb, eb) = new
+            p = pre[i]
+            # Only these two symbols' pre/post sums can change, so the
+            # validity condition of the whole word reduces to theirs.
+            if out_of_bounds(na, ea, p, total) or out_of_bounds(nb, eb, p + na, total):
+                raise InternalInvariantError(f"rewrite {rule} broke the validity condition")
+            word[i] = new[0]
+            word[i + 1] = new[1]
+            pre[i + 1] = p + na
+            pos_sum += ((na - ca) * (i + 1) + (nb - cb) * (i + 2)) // 4
+            d_balance += (ca * da + cb * db - na * ea - nb * eb) // 2
+        else:
+            # R1 deletes a (-2,k)(2,k+2) pair of net sign zero: no other
+            # symbol's pre/post sum changes, and each (2,*) right of the
+            # pair moves two places left.  A prefix of m symbols with sum
+            # s holds (s + 2m)/4 of them, and pre[i + 2] == pre[i].
+            caps_after = (total + 2 * len(word) - pre[i] - 2 * (i + 2)) // 4
+            del word[i:i + 2]
+            del pre[i:i + 2]
+            pos_sum -= i + 2 + 2 * caps_after
+            d_balance += (ca * da + cb * db) // 2
         dog.tick()
-        trace.append(
-            RewriteStep(step, rule, forward, pos, new_word, rewrite_potential(new_word))
-        )
-        return new_word
+        records.append((step, rule, forward, i, new, (pos_sum, d_balance)))
 
-    def step1(w: SymWord) -> SymWord:
-        while True:
-            for i in range(len(w) - 1):
-                (c1, d1), (c2, d2) = w[i], w[i + 1]
-                if c1 == 2 and c2 == -2:
-                    if d1 <= d2:
-                        w = record(1, "R3.2", True, i, apply_relation(w, "R3.2", i))
-                    else:
-                        w = record(1, "R3.1", False, i, apply_relation(w, "R3.1", i, forward=False))
-                    break
+    def step1() -> None:
+        i = 0
+        while i < len(word) - 1:
+            (c1, d1), (c2, d2) = word[i], word[i + 1]
+            if c1 == 2 and c2 == -2:
+                if d1 <= d2:
+                    rewrite(1, "R3.2", True, i)
+                else:
+                    rewrite(1, "R3.1", False, i)
+                i = max(i - 1, 0)  # pairs left of i - 1 are untouched
             else:
-                return w
+                i += 1
 
-    def step2(w: SymWord) -> SymWord:
-        while True:
-            for i in range(len(w) - 1):
-                (c1, d1), (c2, d2) = w[i], w[i + 1]
-                if c1 == c2 and d1 < d2:
-                    rule = "R2" if c1 == 2 else "R4"
-                    w = record(2, rule, True, i, apply_relation(w, rule, i))
-                    break
+    def step2() -> None:
+        i = 0
+        while i < len(word) - 1:
+            (c1, d1), (c2, d2) = word[i], word[i + 1]
+            if c1 == c2 and d1 < d2:
+                rewrite(2, "R2" if c1 == 2 else "R4", True, i)
+                i = max(i - 1, 0)
             else:
-                return w
+                i += 1
 
-    word = step2(step1(word))
-    last_e3: tuple[int, int] | None = rewrite_potential(word)
-    while True:
-        deleted = False
-        for i in range(len(word) - 1):
+    def find_r1(lo: int, hi: int) -> int | None:
+        for i in range(lo, min(hi, len(word) - 1)):
             (c1, d1), (c2, d2) = word[i], word[i + 1]
             if c1 == -2 and c2 == 2 and d2 == d1 + 2:
-                word = record(3, "R1", True, i, apply_relation(word, "R1", i))
-                word = step2(step1(word))
-                last_e3 = rewrite_potential(word)
-                deleted = True
-                break
-        if deleted:
+                return i
+        return None
+
+    step1()
+    step2()
+    last_e3 = (pos_sum, d_balance)
+    r1_lo, r1_hi = 0, len(word)  # step-3 search window
+    i4 = 0                       # step-4 scan resumes here
+    while True:
+        i = find_r1(r1_lo, r1_hi)
+        if i is not None:
+            rewrite(3, "R1", True, i)
+            step1()
+            step2()
+            last_e3 = (pos_sum, d_balance)
+            r1_lo, r1_hi, i4 = 0, len(word), 0
             continue
-        moved = False
-        for i in range(len(word) - 1):
-            (c1, d1), (c2, d2) = word[i], word[i + 1]
+        while i4 < len(word) - 1:
+            (c1, d1), (c2, d2) = word[i4], word[i4 + 1]
             if c1 == -2 and c2 == 2 and d1 <= d2 - 4:
-                word = record(4, "R3.1", True, i, apply_relation(word, "R3.1", i))
-                here = rewrite_potential(word)
-                if last_e3 is not None and here >= last_e3:
-                    raise InternalInvariantError(
-                        "sort potential failed to decrease between step-3 visits"
-                    )
-                last_e3 = here
-                moved = True
                 break
-        if not moved:
+            i4 += 1
+        else:
             break
+        i = i4
+        rewrite(4, "R3.1", True, i)
+        here = (pos_sum, d_balance)
+        if here >= last_e3:
+            raise InternalInvariantError(
+                "sort potential failed to decrease between step-3 visits"
+            )
+        last_e3 = here
+        # No R1 existed before this rewrite and only the three pairs it
+        # touched changed, so step 3 need look at those alone.
+        r1_lo, r1_hi, i4 = max(i - 1, 0), i + 2, max(i - 1, 0)
 
     for c, d in word:
         if d != 0:
             raise InternalInvariantError(
                 f"normalization left a nonzero symbol in {format_sym(word)}"
             )
-    return word, trace
+    return tuple(word), Trace(start, records)
 
 
 # -- composition structure -------------------------------------------------
@@ -228,44 +329,48 @@ def to_forest(sym) -> Forest:
     return tuple(stack[0])
 
 
-def _tree_key(s: str) -> tuple[int, str]:
-    return (len(s), s)
-
-
-def tree_string(tree: Tree) -> str:
-    return "(" + "".join(sorted((tree_string(c) for c in tree), key=_tree_key)) + ")"
+def _canonical(forest: Forest) -> tuple[Forest, str]:
+    """Canonical form and canonical string of a forest, bottom-up in one
+    iterative pass, so each subtree's string is built once and no depth
+    of nesting meets the recursion limit."""
+    done: list[list[tuple[str, Tree]]] = [[]]  # finished children per open node
+    stack = [iter(forest)]
+    while True:
+        child = next(stack[-1], None)
+        if child is not None:
+            stack.append(iter(child))
+            done.append([])
+            continue
+        stack.pop()
+        kids = done.pop()
+        kids.sort(key=lambda kid: (len(kid[0]), kid[0]))
+        body = "".join(s for s, _ in kids)
+        node = tuple(t for _, t in kids)
+        if not stack:
+            return node, body
+        done[-1].append(("(" + body + ")", node))
 
 
 def forest_string(forest: Forest) -> str:
     """Canonical parenthesis string: equal strings iff isotopic systems."""
-    return "".join(sorted((tree_string(t) for t in forest), key=_tree_key))
+    return _canonical(forest)[1]
 
 
 def canonicalize(forest: Forest) -> Forest:
     """Reorder all siblings into canonical order."""
-    canon_trees = [canonicalize_tree(t) for t in forest]
-    return tuple(sorted(canon_trees, key=lambda t: _tree_key(tree_string(t))))
-
-
-def canonicalize_tree(tree: Tree) -> Tree:
-    kids = [canonicalize_tree(c) for c in tree]
-    return tuple(sorted(kids, key=lambda t: _tree_key(tree_string(t))))
+    return _canonical(forest)[0]
 
 
 def from_forest(forest: Forest) -> SymWord:
-    """Normal word of a forest, children emitted in canonical order."""
-    out: list = []
-
-    def emit(tree: Tree) -> None:
-        out.append((-2, 0))
-        for child in tree:
-            emit(child)
-        out.append((2, 0))
-
-    for tree in canonicalize(forest):
-        emit(tree)
-    return tuple(out)
+    """Normal word of a forest, children emitted in canonical order:
+    the canonical string read as (-2,0) for '(' and (2,0) for ')'."""
+    return tuple((-2, 0) if ch == "(" else (2, 0) for ch in forest_string(forest))
 
 
 def forest_size(forest: Forest) -> int:
-    return sum(1 + forest_size(t) for t in forest)
+    size = 0
+    stack = list(forest)
+    while stack:
+        size += 1
+        stack.extend(stack.pop())
+    return size

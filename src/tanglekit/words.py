@@ -93,15 +93,19 @@ def check_validity(sym) -> int | None:
     total = sum(c for c, _ in sym)
     pre = 0
     for i, (c, d) in enumerate(sym):
-        post = total - pre - c
-        if c == 2:
-            if abs(d) > -pre - 2 or abs(d) > post:
-                return i
-        else:
-            if abs(d) > -pre or abs(d) > post - 2:
-                return i
+        if out_of_bounds(c, d, pre, total):
+            return i
         pre += c
     return None
+
+
+def out_of_bounds(c: int, d: int, pre: int, total: int) -> bool:
+    """Whether symbol (c, d) breaks the validity condition, given the
+    sum `pre` of c over the symbols before it and the word's sum `total`."""
+    post = total - pre - c
+    if c == 2:
+        return abs(d) > -pre - 2 or abs(d) > post
+    return abs(d) > -pre or abs(d) > post - 2
 
 
 def is_valid_sym(sym) -> bool:
@@ -177,52 +181,53 @@ def apply_relation(sym, rule: str, pos: int, forward: bool = True,
 
     if not 0 <= pos < len(sym) - 1:
         raise ValueError(f"position {pos} has no adjacent pair in word of length {len(sym)}")
-    a, b = sym[pos], sym[pos + 1]
+    out = sym[:pos] + rewrite_pair(rule, sym[pos], sym[pos + 1], forward) + sym[pos + 2:]
+    _assert_still_valid(out, rule)
+    return out
 
+
+def rewrite_pair(rule: str, a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, ...]:
+    """What the adjacent pair `a b` becomes under a rule: the five
+    replacement formulas, shared by apply_relation and the in-place
+    rewriting of normalize.  R1 forward deletes the pair; raises
+    ValueError when the pair does not match the rule's pattern."""
     if rule == "R1":
         if not _r1_match(a, b):
             raise ValueError(f"R1 does not match {a}{b}")
-        replacement: tuple[Symbol, ...] = ()
-    elif rule == "R2":
+        return ()
+    if rule == "R2":
         if forward:
             if not (a[0] == 2 and b[0] == 2 and a[1] <= b[1] - 2):
                 raise ValueError(f"R2 forward does not match {a}{b}")
-            replacement = ((2, b[1] + 2), (2, a[1] + 2))
-        else:
-            if not (a[0] == 2 and b[0] == 2 and b[1] <= a[1] - 2):
-                raise ValueError(f"R2 backward does not match {a}{b}")
-            replacement = ((2, b[1] - 2), (2, a[1] - 2))
-    elif rule == "R3.1":
+            return ((2, b[1] + 2), (2, a[1] + 2))
+        if not (a[0] == 2 and b[0] == 2 and b[1] <= a[1] - 2):
+            raise ValueError(f"R2 backward does not match {a}{b}")
+        return ((2, b[1] - 2), (2, a[1] - 2))
+    if rule == "R3.1":
         if forward:
             if not (a[0] == -2 and b[0] == 2 and a[1] <= b[1] - 4):
                 raise ValueError(f"R3.1 forward does not match {a}{b}")
-            replacement = ((2, b[1] - 2), (-2, a[1] + 2))
-        else:
-            if not (a[0] == 2 and b[0] == -2 and b[1] <= a[1]):
-                raise ValueError(f"R3.1 backward does not match {a}{b}")
-            replacement = ((-2, b[1] - 2), (2, a[1] + 2))
-    elif rule == "R3.2":
+            return ((2, b[1] - 2), (-2, a[1] + 2))
+        if not (a[0] == 2 and b[0] == -2 and b[1] <= a[1]):
+            raise ValueError(f"R3.1 backward does not match {a}{b}")
+        return ((-2, b[1] - 2), (2, a[1] + 2))
+    if rule == "R3.2":
         if forward:
             if not (a[0] == 2 and b[0] == -2 and a[1] <= b[1]):
                 raise ValueError(f"R3.2 forward does not match {a}{b}")
-            replacement = ((-2, b[1] + 2), (2, a[1] - 2))
-        else:
-            if not (a[0] == -2 and b[0] == 2 and b[1] <= a[1] - 4):
-                raise ValueError(f"R3.2 backward does not match {a}{b}")
-            replacement = ((2, b[1] + 2), (-2, a[1] - 2))
-    else:  # R4
+            return ((-2, b[1] + 2), (2, a[1] - 2))
+        if not (a[0] == -2 and b[0] == 2 and b[1] <= a[1] - 4):
+            raise ValueError(f"R3.2 backward does not match {a}{b}")
+        return ((2, b[1] + 2), (-2, a[1] - 2))
+    if rule == "R4":
         if forward:
             if not (a[0] == -2 and b[0] == -2 and a[1] <= b[1] - 2):
                 raise ValueError(f"R4 forward does not match {a}{b}")
-            replacement = ((-2, b[1] - 2), (-2, a[1] - 2))
-        else:
-            if not (a[0] == -2 and b[0] == -2 and b[1] <= a[1] - 2):
-                raise ValueError(f"R4 backward does not match {a}{b}")
-            replacement = ((-2, b[1] + 2), (-2, a[1] + 2))
-
-    out = sym[:pos] + replacement + sym[pos + 2:]
-    _assert_still_valid(out, rule)
-    return out
+            return ((-2, b[1] - 2), (-2, a[1] - 2))
+        if not (a[0] == -2 and b[0] == -2 and b[1] <= a[1] - 2):
+            raise ValueError(f"R4 backward does not match {a}{b}")
+        return ((-2, b[1] + 2), (-2, a[1] + 2))
+    raise ValueError(f"unknown rule {rule!r}")
 
 
 def _assert_still_valid(sym, rule: str) -> None:

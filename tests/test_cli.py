@@ -16,6 +16,7 @@ CASES = {
     "validate_gen_ok": ["validate", "U(1,2);U(3,3);H(3,4);H(1,2)"],
     "normalize_hump": ["normalize", "(-2,0)(-2,0)(2,2)(2,0)"],
     "normalize_trace": ["normalize", "--trace", "(-2,0)(-2,0)(-2,2)(2,2)(2,2)(2,0)"],
+    "normalize_limit": ["normalize", "--max-steps", "1", "(-2,0)(-2,0)(-2,2)(2,2)(2,2)(2,0)"],
     "invariant_circle_count": ["invariant", "(-2,0)(2,0)", "--monoid", "count"],
     "invariant_nested_prime": ["invariant", "(-2,0)(-2,0)(2,0)(2,0)"],
     "equiv_distinct": ["equiv", "(-2,0)(-2,0)(2,0)(2,0)", "(-2,0)(2,0)(-2,0)(2,0)"],
@@ -77,11 +78,16 @@ class TestExitCodes:
         code, _, err = run(["enumerate", "--circles", "9"])
         assert code == 1 and "0..8" in err
 
-    def test_watchdog_is_two(self):
-        code, _, err = run(
+    def test_watchdog_is_three(self):
+        code, out, err = run(
             ["normalize", "--max-steps", "0", "(-2,0)(-2,0)(2,2)(2,0)"]
         )
-        assert code == 2 and "watchdog" in err
+        assert code == 3 and out == ""
+        assert err == "LIMIT: rewrite watchdog tripped after 0 rewrites\n"
+
+    def test_negative_max_steps_is_one(self):
+        code, _, err = run(["normalize", "--max-steps", "-1", "(-2,0)(2,0)"])
+        assert code == 1 and err == "ERROR: --max-steps must be >= 0, got -1\n"
 
     def test_help_is_zero(self):
         code, _, _ = run(["--help"])

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from reference_rewriting import reference_forest_string, reference_normalize
 from tanglekit import words
-from tanglekit.errors import InternalInvariantError
+from tanglekit.errors import InternalInvariantError, ResourceLimitError
+from tanglekit.oracle import canonical, trace_diagram
 from tanglekit.rewriting import (
     canonicalize,
     encircle,
@@ -23,6 +25,25 @@ CIRCLE = ((-2, 0), (2, 0))
 NESTED = ((-2, 0), (-2, 0), (2, 0), (2, 0))
 SIDE = ((-2, 0), (2, 0), (-2, 0), (2, 0))
 HUMP = ((-2, 0), (-2, 0), (2, 2), (2, 0))
+TRACED = ((-2, 0), (-2, 0), (-2, 2), (2, 2), (2, 2), (2, 0))
+
+
+def seeded_word(seed: int, lo: int, hi: int):
+    """The first random word of the seed with lo..hi symbols."""
+    rng = random.Random(seed)
+    while True:
+        sym = words.random_word(rng, hi // 2)
+        if lo <= len(sym) <= hi:
+            return sym
+
+
+def assert_same_as_reference(sym):
+    out, trace = normalize(sym)
+    ref_out, ref_trace = reference_normalize(sym)
+    assert out == ref_out
+    assert len(trace) == len(ref_trace)
+    for step, ref_step in zip(trace, ref_trace):
+        assert step == ref_step
 
 
 class TestNormalize:
@@ -87,8 +108,17 @@ class TestNormalize:
 
     def test_watchdog_configurable(self):
         # 0 rewrites allowed: any word needing work must trip the cap
-        with pytest.raises(InternalInvariantError, match="watchdog"):
+        with pytest.raises(ResourceLimitError, match="^rewrite watchdog tripped after 0 rewrites$"):
             normalize(HUMP, max_rewrites=0)
+
+    def test_watchdog_is_a_limit_not_a_bug_or_bad_input(self):
+        assert issubclass(ResourceLimitError, RuntimeError)
+        assert not issubclass(ResourceLimitError, (InternalInvariantError, ValueError))
+        # the cap counts rewrites: exactly enough is enough
+        needed = len(normalize(TRACED)[1])
+        assert normalize(TRACED, max_rewrites=needed) == normalize(TRACED)
+        with pytest.raises(ResourceLimitError, match=f"after {needed - 1} rewrites"):
+            normalize(TRACED, max_rewrites=needed - 1)
 
     def test_potential_recorded(self):
         _, trace = normalize(HUMP)
@@ -97,6 +127,59 @@ class TestNormalize:
     def test_describe_format(self):
         _, trace = normalize(HUMP)
         assert trace[0].describe() == "step3 R1 @2 (-2,0)(2,0)"
+
+
+class TestAgainstReference:
+    """normalize returns exactly the (word, trace) of the direct
+    specification in tests/reference_rewriting.py."""
+
+    def test_exhaustive_corpus(self, word_corpus):
+        exhaustive, _ = word_corpus
+        for sym in exhaustive:
+            assert_same_as_reference(sym)
+
+    def test_random_corpus(self, word_corpus):
+        _, randoms = word_corpus
+        for sym in randoms:
+            assert_same_as_reference(sym)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    def test_long_words(self, seed):
+        sym = seeded_word(seed, 60, 100)
+        assert_same_as_reference(sym)
+
+    def test_long_word_regression(self):
+        # 400 symbols: about 10^5 rewrites, far too many for the
+        # reference; checked against the geometric sweep instead
+        sym = seeded_word(400, 400, 400)
+        out, trace = normalize(sym)
+        assert len(trace) > 10**5
+        assert canonical(to_forest(out)) == canonical(trace_diagram(words.decode(sym)))
+
+
+class TestTrace:
+    def test_iterates_the_same_steps_twice(self):
+        _, trace = normalize(seeded_word(21, 20, 30))
+        first = list(trace)
+        assert first and list(trace) == first
+        assert len(trace) == len(first)
+
+    def test_indexing(self):
+        _, trace = normalize(seeded_word(22, 20, 30))
+        steps = list(trace)
+        assert trace[0] == steps[0]
+        assert trace[-1] == steps[-1]
+        assert trace[1:3] == steps[1:3]
+        assert list(trace) == steps  # iteration after indexing
+
+    def test_equals_the_list_of_its_steps(self):
+        _, trace = normalize(TRACED)
+        steps = list(trace)
+        assert trace == steps and steps == trace
+        assert trace == normalize(TRACED)[1]
+        assert trace != steps[:-1]
+        assert trace != steps[::-1]
+        assert normalize(CIRCLE)[1] == []
 
 
 class TestPotentials:
@@ -186,6 +269,42 @@ class TestForests:
             forest = canonicalize(to_forest(sym))
             assert to_forest(from_forest(forest)) == forest
             assert forest_size(forest) == len(sym) // 2
+
+    def test_canonical_strings_match_the_recursive_definition(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            sym, _ = normalize(words.random_word(rng, 12))
+            forest = to_forest(sym)
+            assert forest_string(forest) == reference_forest_string(forest)
+            assert forest_string(canonicalize(forest)) == forest_string(forest)
+
+    def test_deep_nest(self):
+        # nested tuples this deep cannot be compared by ==, so compare
+        # strings and flat words only
+        depth = 5000
+        nest = ((-2, 0),) * depth + ((2, 0),) * depth
+        out, trace = normalize(nest)
+        assert out == nest and len(trace) == 0
+        forest = to_forest(out)
+        assert forest_string(forest) == "(" * depth + ")" * depth
+        assert from_forest(forest) == nest
+        assert from_forest(canonicalize(forest)) == nest
+        assert forest_size(forest) == depth
+
+    def test_wide_row(self):
+        # Step 1 moves every (-2,*) left of every (2,*) even in a row of
+        # side-by-side circles, so k of them take 2k(k-1) rewrites:
+        # 10,000 would take 2*10^8, so they meet the rewrite limit.
+        width = 10000
+        row = ((-2, 0), (2, 0)) * width
+        with pytest.raises(ResourceLimitError):
+            normalize(row, max_rewrites=10**4)
+        out, trace = normalize(row[:200])
+        assert out == row[:200] and len(trace) == 2 * 100 * 99
+        forest = to_forest(row)
+        assert forest_string(forest) == "()" * width
+        assert from_forest(forest) == row
+        assert forest_size(forest) == width
 
     def test_from_forest_emits_canonical_order(self):
         messy = ((((),), ()), ())
