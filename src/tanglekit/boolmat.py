@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InternalInvariantError
-
 
 class BitMatrix:
-    """Immutable rows x cols matrix with entries in {0, 1}."""
+    """Immutable rows x cols matrix with entries in {0, 1}; bits[i] is
+    row i as a bitmask (bit j is entry (i, j))."""
 
-    __slots__ = ("rows", "cols", "_bits")
+    __slots__ = ("rows", "cols", "bits")
 
     def __init__(self, rows: int, cols: int, bits: tuple[int, ...]):
         if rows < 0 or cols < 0 or len(bits) != rows:
@@ -34,7 +33,7 @@ class BitMatrix:
             raise ValueError("row bits outside column range")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "bits", bits)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitMatrix is immutable")
@@ -63,16 +62,13 @@ class BitMatrix:
         """0-based entry."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return (self._bits[i] >> j) & 1
-
-    def row_bits(self, i: int) -> int:
-        return self._bits[i]
+        return (self.bits[i] >> j) & 1
 
     def to_lines(self) -> list[str]:
         """Rows as strings of 0/1 characters (debug / --show-state)."""
         return [
             "".join("1" if (b >> j) & 1 else "0" for j in range(self.cols))
-            for b in self._bits
+            for b in self.bits
         ]
 
     def __eq__(self, other) -> bool:
@@ -80,11 +76,11 @@ class BitMatrix:
             isinstance(other, BitMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._bits == other._bits
+            and self.bits == other.bits
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._bits))
+        return hash((self.rows, self.cols, self.bits))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols}: {'|'.join(self.to_lines())})"
@@ -103,7 +99,7 @@ class BitMatrix:
         self._require_same_shape(other, "add")
         return BitMatrix(
             self.rows, self.cols,
-            tuple(a | b for a, b in zip(self._bits, other._bits)),
+            tuple(a | b for a, b in zip(self.bits, other.bits)),
         )
 
     def __sub__(self, other: "BitMatrix") -> "BitMatrix":
@@ -111,7 +107,7 @@ class BitMatrix:
         self._require_same_shape(other, "minus")
         return BitMatrix(
             self.rows, self.cols,
-            tuple(a & ~b for a, b in zip(self._bits, other._bits)),
+            tuple(a & ~b for a, b in zip(self.bits, other.bits)),
         )
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
@@ -122,8 +118,8 @@ class BitMatrix:
                 f"{other.rows}x{other.cols}"
             )
         out = []
-        obits = other._bits
-        for b in self._bits:
+        obits = other.bits
+        for b in self.bits:
             acc = 0
             while b:
                 low = b & -b
@@ -136,7 +132,7 @@ class BitMatrix:
         cols = []
         for j in range(self.cols):
             acc = 0
-            for i, b in enumerate(self._bits):
+            for i, b in enumerate(self.bits):
                 acc |= ((b >> j) & 1) << i
             cols.append(acc)
         return BitMatrix(self.cols, self.rows, tuple(cols))
@@ -144,50 +140,13 @@ class BitMatrix:
     def __le__(self, other: "BitMatrix") -> bool:
         """Natural partial order: every entry of self <= entry of other."""
         self._require_same_shape(other, "leq")
-        return all(a | b == b for a, b in zip(self._bits, other._bits))
+        return all(a | b == b for a, b in zip(self.bits, other.bits))
 
     def __ge__(self, other: "BitMatrix") -> bool:
         return other.__le__(self)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transitive_closure(self) -> "BitMatrix":
-        """Least transitive matrix >= self, by squaring to a fixpoint.
-
-        Path lengths double per iteration, so ceil(log2(n))+1 rounds
-        suffice; running out of the bound means the implementation is
-        broken, not the input.
-        """
-        if not self.is_square():
-            raise ValueError("transitive_closure requires a square matrix")
-        n = self.rows
-        bound = max(1, (max(n, 2) - 1).bit_length()) + 1
-        t = self
-        for _ in range(bound + 1):
-            nxt = t + t @ t
-            if nxt == t:
-                return t
-            t = nxt
-        raise InternalInvariantError("transitive closure did not stabilize")
-
-
-def scalar_bit(m: BitMatrix) -> int:
-    """The single entry of a 1x1 matrix (e.g. column' @ R @ column)."""
-    if m.rows != 1 or m.cols != 1:
-        raise ValueError(f"expected 1x1 matrix, got {m.rows}x{m.cols}")
-    return m.entry(0, 0)
-
-
-def boolean_power(m: BitMatrix, p: int) -> BitMatrix:
-    if not m.is_square():
-        raise ValueError("power requires a square matrix")
-    if p < 1:
-        raise ValueError("power must be >= 1")
-    out = m
-    for _ in range(p - 1):
-        out = out @ m
-    return out
 
 
 # -- structured matrices ----------------------------------------------
@@ -242,14 +201,6 @@ def single_diag(n: int, k: int) -> BitMatrix:
 
 
 @lru_cache(maxsize=None)
-def unit_column(n: int, k: int) -> BitMatrix:
-    """n x 1 column with a single 1 in row k, 1-based."""
-    if not 1 <= k <= n:
-        raise ValueError(f"unit position k={k} outside 1..{n}")
-    return BitMatrix(n, 1, tuple(1 if i == k - 1 else 0 for i in range(n)))
-
-
-@lru_cache(maxsize=None)
 def reversal(n: int) -> BitMatrix:
     """Anti-diagonal n x n matrix; conjugating by it reverses interval
     order (its square is the identity)."""
@@ -282,14 +233,6 @@ def outer_corners(n: int) -> BitMatrix:
 
 
 @lru_cache(maxsize=None)
-def unit_entry(n: int, a: int, b: int) -> BitMatrix:
-    """n x n matrix with a single 1 at (a, b), 1-based."""
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"entry ({a},{b}) outside 1..{n}")
-    return BitMatrix(n, n, tuple((1 << (b - 1)) if i == a - 1 else 0 for i in range(n)))
-
-
-@lru_cache(maxsize=None)
 def checkerboard(rows: int, cols: int) -> BitMatrix:
     """Ones exactly where i-j is even (1-based), i.e. the parity mask
     that any region-connectivity matrix must respect."""
@@ -303,18 +246,3 @@ def checkerboard(rows: int, cols: int) -> BitMatrix:
         else:
             odd |= 1 << j
     return BitMatrix(rows, cols, tuple(even if i % 2 == 0 else odd for i in range(rows)))
-
-
-@lru_cache(maxsize=None)
-def masked_transfer(n: int, k: int) -> BitMatrix:
-    """insert_map(n, k) transposed with the (k-1, k+1) entry cleared:
-    the transfer matrix that ignores the interval right of the cup."""
-    _check_slot(n, k)
-    return insert_map(n, k).transpose() @ (identity(n + 2) - single_diag(n + 2, k + 1))
-
-
-@lru_cache(maxsize=None)
-def flank_link(n: int, k: int) -> BitMatrix:
-    """(n+2) x (n+2) matrix linking the two intervals flanking slot k."""
-    _check_slot(n, k)
-    return insert_map(n, k) @ single_diag(n, k - 1) @ insert_map(n, k).transpose()

@@ -22,7 +22,7 @@ import sys
 from . import invariants, rewriting, oracle, states, words
 from .errors import InternalInvariantError, ResourceLimitError
 from .lomonoid import MonoidSpec, count_monoid, prime_monoid
-from .operators import apply_generator, cap, cup, eval_word, mirror
+from .operators import cap, cup, eval_steps, mirror
 from .states import trivial
 from .words import format_sym, parse_word, to_gen_word, to_sym_word
 
@@ -97,18 +97,9 @@ def _cmd_eval(args) -> int:
     state = trivial(spec)
     if args.steps:
         print(f"start {state.summary()}")
-        for pos in range(len(gen_word) - 1, -1, -1):
-            gen = gen_word[pos]
-            if gen.in_width != state.n:
-                raise words.ParseError(
-                    f"arity mismatch at position {pos + 1}: {gen.text()} expects "
-                    f"width {gen.in_width}, state has width {state.n}",
-                    position=pos + 1,
-                )
-            state = apply_generator(state, gen)
+    for gen, state in eval_steps(gen_word, state):
+        if args.steps:
             print(f"{gen.text()} {state.summary()}")
-    else:
-        state = eval_word(gen_word, state)
     if args.show_state:
         print(state.dump())
     print(state.summary())

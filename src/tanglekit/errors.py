@@ -3,7 +3,7 @@
 Input-side problems (bad syntax, out-of-range slots, violated word
 conditions) raise ValueError subclasses and map to exit code 1 in the CLI.
 InternalInvariantError marks states the library promises can never be
-reached (closure iteration bound, method disagreement); the CLI maps it
+reached (a rewrite breaking validity, method disagreement); the CLI maps it
 to exit code 2.  ResourceLimitError marks a configured work limit that
 valid input can reach (the rewrite watchdog); the CLI maps it to exit
 code 3.

@@ -17,16 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import primes, words
-from .errors import InternalInvariantError
+from . import words
 from .lomonoid import MonoidSpec, Value, count_monoid, prime_monoid
 from .rewriting import Forest
 from .operators import eval_closed
-
-
-def nth_prime(n: int) -> int:
-    """The n-th prime (nth_prime(1) == 2); exact, desk-scale index."""
-    return primes.nth_prime(n)
+from .primes import nth_prime  # noqa: F401  (re-exported)
 
 
 def word_value(word, spec: MonoidSpec) -> Value:
@@ -37,11 +32,22 @@ def word_value(word, spec: MonoidSpec) -> Value:
 
 
 def forest_value(forest: Forest, spec: MonoidSpec) -> Value:
-    """Invariant by structural recursion over the nesting forest."""
-    out = spec.zero
-    for tree in forest:
-        out = spec.oplus(out, spec.phi(forest_value(tree, spec)))
-    return out
+    """Invariant by structural recursion over the nesting forest: the
+    oplus, left to right, of phi(value of each tree's children).  Walked
+    iteratively, so no depth of nesting meets the recursion limit."""
+    stack = [iter(forest)]
+    sums = [spec.zero]  # oplus of the finished children per open node
+    while True:
+        child = next(stack[-1], None)
+        if child is not None:
+            stack.append(iter(child))
+            sums.append(spec.zero)
+            continue
+        stack.pop()
+        value = sums.pop()
+        if not stack:
+            return value
+        sums[-1] = spec.oplus(sums[-1], spec.phi(value))
 
 
 def _as_gen_word(word):

@@ -73,33 +73,14 @@ def act(matrix: BitMatrix, values: Sequence[Value], spec: MonoidSpec) -> ValueAr
         )
     join = spec.join
     out = []
-    for i in range(matrix.rows):
+    for b in matrix.bits:
         acc = spec.zero
-        b = matrix.row_bits(i)
         while b:
             low = b & -b
             acc = join(acc, values[low.bit_length() - 1])
             b ^= low
         out.append(acc)
     return tuple(out)
-
-
-def oplus_arrays(xs: Sequence[Value], ys: Sequence[Value], spec: MonoidSpec) -> ValueArray:
-    if len(xs) != len(ys):
-        raise ValueError("oplus: length mismatch")
-    return tuple(spec.oplus(a, b) for a, b in zip(xs, ys))
-
-
-def join_arrays(xs: Sequence[Value], ys: Sequence[Value], spec: MonoidSpec) -> ValueArray:
-    if len(xs) != len(ys):
-        raise ValueError("join: length mismatch")
-    return tuple(spec.join(a, b) for a, b in zip(xs, ys))
-
-
-def array_leq(xs: Sequence[Value], ys: Sequence[Value], spec: MonoidSpec) -> bool:
-    if len(xs) != len(ys):
-        raise ValueError("leq: length mismatch")
-    return all(spec.leq(a, b) for a, b in zip(xs, ys))
 
 
 # -- axiom suite -------------------------------------------------------
@@ -138,8 +119,7 @@ def axiom_failures(spec: MonoidSpec, triples) -> list[tuple[str, tuple]]:
 # -- concrete instances ------------------------------------------------
 
 _COUNT_MAX_SAMPLE = 10**6
-_SAMPLE_PRIMES = [p for p in range(2, 101)
-                  if all(p % q for q in range(2, p)) ]
+_SAMPLE_PRIMES = [primes.nth_prime(i) for i in range(1, 26)]  # the primes below 100
 
 
 def _sample_count(rng: random.Random) -> int:

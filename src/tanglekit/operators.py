@@ -5,6 +5,9 @@
 n+2 -> n).  Slots are 1-based with 2 <= k <= n+1, so the new or closed
 region always has an interval on each side.
 
+The paper's formulas are the specification; tests/operator_spec.py
+keeps them, and the tests check these functions against them:
+
 cap:  R' = M R M' + D,        v' = M * v
 cup:  R' = (M' R M)^2,        v' = R' * [(M' * v) (+) (e_{k-1} * x)]
 
@@ -15,12 +18,17 @@ off and x = phi(value inside); otherwise two regions merge and
 x = meet of their values (their join is already present, and
 join (+) meet = (+) of both).
 
+The code edits the region rows (one bitmask int per interval) directly,
+at O(w) row operations per generator of width w, and relies on the
+input being a valid state.  With 0-based intervals: a cap splits
+interval k-2 into k-2, k-1 (the new region) and k, shifting every
+row's higher bits up by two; a cup folds intervals k-2 and k into one,
+drops k-1, and gives every row of the two merged regions their union
+(regions are equivalence classes, so merging two needs no closure)
+and the value join (+) x.
+
 A word of generators is evaluated right-to-left: the rightmost factor
 is the topmost piece of the diagram and is applied first.
-
-Set `STRICT_VALIDATE = True` to re-validate every operator output
-(slow; both operators provably preserve validity, and the test suite
-exercises exactly that).
 """
 
 from __future__ import annotations
@@ -29,16 +37,8 @@ from dataclasses import dataclass
 
 from . import boolmat
 from .boolmat import BitMatrix
-from .lomonoid import MonoidSpec, Value, act, oplus_arrays
-from .states import TangleState, ends_connected, trivial, validate
-
-STRICT_VALIDATE = False
-
-
-def _result(region: BitMatrix, values, spec: MonoidSpec) -> TangleState:
-    if STRICT_VALIDATE:
-        return validate(region, values, spec)
-    return TangleState(region.rows, region, tuple(values), spec)
+from .lomonoid import MonoidSpec, Value, act
+from .states import TangleState, ends_connected, trivial
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,12 @@ def cap(state: TangleState, k: int) -> TangleState:
     n = state.n
     if not 2 <= k <= n + 1:
         raise ValueError(f"cap slot k={k} outside 2..{n + 1} for width {n}")
-    m = boolmat.insert_map(n, k)
-    region = m @ state.region @ m.transpose() + boolmat.single_diag(n + 2, k)
-    values = act(m, state.values, state.spec)
-    return _result(region, values, state.spec)
+    lo = (1 << (k - 1)) - 1
+    rows = tuple((x & lo) | ((x >> (k - 2)) << k) for x in state.region.bits)
+    region = BitMatrix(n + 2, n + 2, rows[:k - 1] + (1 << (k - 1),) + rows[k - 2:])
+    v = state.values
+    values = v[:k - 1] + (state.spec.zero,) + v[k - 2:]
+    return TangleState(n + 2, region, values, state.spec)
 
 
 def cup_value(state: TangleState, k: int) -> Value:
@@ -112,15 +114,19 @@ def cup(state: TangleState, k: int) -> TangleState:
     if not 2 <= k <= n + 1:
         raise ValueError(f"cup slot k={k} outside 2..{n + 1} for width {m_in}")
     spec = state.spec
-    m = boolmat.insert_map(n, k)
-    mt = m.transpose()
-    folded = mt @ state.region @ m
-    region = folded @ folded
-    x = cup_value(state, k)
-    injected = list(act(mt, state.values, spec))
-    injected[k - 2] = spec.oplus(injected[k - 2], x)
-    values = act(region, injected, spec)
-    return _result(region, values, spec)
+    v = state.values
+    joined = spec.oplus(spec.join(v[k - 2], v[k]), cup_value(state, k))
+    lo = (1 << (k - 1)) - 1
+    rows = [(x & lo) | ((x >> k) << (k - 2)) for x in state.region.bits]
+    merged = rows[k - 2] | rows[k]
+    del rows[k - 1:k + 1]
+    values = list(v[:k - 1] + v[k + 1:])
+    bit = 1 << (k - 2)
+    for i, x in enumerate(rows):
+        if x & bit:
+            rows[i] = merged
+            values[i] = joined
+    return TangleState(n, BitMatrix(n, n, tuple(rows)), tuple(values), spec)
 
 
 def mirror(state: TangleState) -> TangleState:
@@ -128,7 +134,7 @@ def mirror(state: TangleState) -> TangleState:
     s = boolmat.reversal(state.n)
     region = s @ state.region @ s
     values = act(s, state.values, state.spec)
-    return _result(region, values, state.spec)
+    return TangleState(state.n, region, values, state.spec)
 
 
 def add_value(state: TangleState, m: Value) -> TangleState:
@@ -137,7 +143,7 @@ def add_value(state: TangleState, m: Value) -> TangleState:
     spec = state.spec
     bumped = (spec.oplus(m, state.values[0]),) + state.values[1:]
     values = act(state.region, bumped, spec)
-    return _result(state.region, values, spec)
+    return TangleState(state.n, state.region, values, spec)
 
 
 def encircle_state(state: TangleState) -> TangleState:
@@ -152,7 +158,7 @@ def encircle_state(state: TangleState) -> TangleState:
     e = boolmat.inner_embed(n)
     region = e @ state.region @ e.transpose() + boolmat.outer_corners(n + 2)
     values = act(e, state.values, state.spec)
-    return _result(region, values, state.spec)
+    return TangleState(n + 2, region, values, state.spec)
 
 
 def shift(gen: Generator) -> Generator:
@@ -161,32 +167,24 @@ def shift(gen: Generator) -> Generator:
     return Generator(gen.kind, gen.n + 2, gen.k + 1)
 
 
-def shift_word(word) -> tuple[Generator, ...]:
-    return tuple(shift(g) for g in word)
+def eval_steps(word, start: TangleState):
+    """Yield (generator, state after it) along a composition-ordered
+    word (leftmost = bottom of diagram), rightmost generator first.
+    The arities are checked against start's width before any step."""
+    from .words import width_profile  # deferred: words imports this module
 
-
-def apply_generator(state: TangleState, gen: Generator) -> TangleState:
-    if gen.in_width != state.n:
-        raise ValueError(
-            f"generator {gen.text()} expects width {gen.in_width}, state has {state.n}"
-        )
-    if gen.kind == "cap":
-        return cap(state, gen.k)
-    return cup(state, gen.k)
+    width_profile(word, start.n)
+    state = start
+    for gen in reversed(word):
+        state = cap(state, gen.k) if gen.kind == "cap" else cup(state, gen.k)
+        yield gen, state
 
 
 def eval_word(word, start: TangleState) -> TangleState:
-    """Apply a composition-ordered word (leftmost = bottom of diagram):
-    fold right-to-left, so the rightmost generator acts first."""
+    """The state after the whole word; start itself for the empty word."""
     state = start
-    for pos in range(len(word) - 1, -1, -1):
-        gen = word[pos]
-        if gen.in_width != state.n:
-            raise ValueError(
-                f"arity mismatch at position {pos + 1}: {gen.text()} expects "
-                f"width {gen.in_width}, state has width {state.n}"
-            )
-        state = apply_generator(state, gen)
+    for _, state in eval_steps(word, start):
+        pass
     return state
 
 

@@ -50,12 +50,15 @@ GenWord = tuple[Generator, ...]
 
 # -- arities of generator words ----------------------------------------
 
-def width_profile(word) -> list[int]:
-    """Widths seen while evaluating, top first: [in(g_m), ..., out(g_1)].
-    Raises on an arity mismatch, reporting the 1-based position."""
-    if not word:
-        return [1]
-    widths = [word[-1].in_width]
+def width_profile(word, start: int | None = None) -> list[int]:
+    """Widths seen while evaluating, top first: [start, ..., out(g_1)].
+    `start` is the width entering at the top; it defaults to what the
+    top generator expects (1 for the empty word).  This is the one
+    arity check: it raises on a mismatch, reporting the 1-based
+    position."""
+    if start is None:
+        start = word[-1].in_width if word else 1
+    widths = [start]
     for pos in range(len(word) - 1, -1, -1):
         gen = word[pos]
         if gen.in_width != widths[-1]:
@@ -106,10 +109,6 @@ def out_of_bounds(c: int, d: int, pre: int, total: int) -> bool:
     if c == 2:
         return abs(d) > -pre - 2 or abs(d) > post
     return abs(d) > -pre or abs(d) > post - 2
-
-
-def is_valid_sym(sym) -> bool:
-    return check_validity(sym) is None
 
 
 def require_valid(sym) -> None:

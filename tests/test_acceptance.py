@@ -25,6 +25,7 @@ from tanglekit.rewriting import encircle, normalize, to_forest
 from tanglekit.states import is_valid, random_state
 
 from conftest import STATE_WIDTHS
+from operator_spec import masked_transfer, unit_entry
 
 
 def report(criterion, detail):
@@ -121,9 +122,9 @@ def test_c03_boolean_identities():
                 assert b_next.transpose() @ b_next == ident_n
                 checks += 2
             if k + 2 <= n + 1:
-                assert bt @ bm.insert_map(n, k + 2) == (ident_n - bm.single_diag(n, k)) + bm.unit_entry(n, k - 1, k + 1)
+                assert bt @ bm.insert_map(n, k + 2) == (ident_n - bm.single_diag(n, k)) + unit_entry(n, k - 1, k + 1)
                 checks += 1
-            assert bm.masked_transfer(n, k) @ bm.insert_map(n + 2, k).transpose() @ bm.insert_map(n + 2, k + 2) == bt
+            assert masked_transfer(n, k) @ bm.insert_map(n + 2, k).transpose() @ bm.insert_map(n + 2, k + 2) == bt
             checks += 1
             for l in range(k + 2, n + 4):
                 assert bm.insert_map(n + 2, l) @ bm.insert_map(n, k) == bm.insert_map(n + 2, k) @ bm.insert_map(n, l - 2)

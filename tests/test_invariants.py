@@ -116,6 +116,11 @@ class TestForestValue:
             forest = to_forest(sym)
             assert forest_value(forest, COUNT) == forest_size(forest)
 
+    def test_deep_nest(self):
+        depth = 5000
+        forest = to_forest(((-2, 0),) * depth + ((2, 0),) * depth)
+        assert forest_value(forest, COUNT) == depth
+
 
 class TestMethodAgreement:
     @pytest.mark.parametrize("make", [count_monoid, prime_monoid])
@@ -176,3 +181,7 @@ class TestEquivalent:
     def test_circle_count(self):
         assert circle_count(HUMP) == 1
         assert circle_count(SIDE) == 2
+
+    def test_circle_count_deep_nest(self):
+        depth = 400
+        assert circle_count(((-2, 0),) * depth + ((2, 0),) * depth) == depth

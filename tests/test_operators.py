@@ -5,7 +5,6 @@ import random
 import pytest
 
 from tanglekit import boolmat as bm
-from tanglekit import operators as ops
 from tanglekit.boolmat import BitMatrix
 from tanglekit.lomonoid import count_monoid, prime_monoid
 from tanglekit.operators import (
@@ -15,11 +14,14 @@ from tanglekit.operators import (
     cup,
     cup_value,
     encircle_state,
+    eval_steps,
     eval_word,
     mirror,
     shift,
 )
 from tanglekit.states import is_valid, random_state, trivial, validate
+
+from operator_spec import cap_spec, cup_spec
 
 COUNT = count_monoid()
 PRIME = prime_monoid()
@@ -246,13 +248,42 @@ class TestEvalWord:
         with pytest.raises(ValueError, match="position 1"):
             eval_word(word, trivial(COUNT))
 
-    def test_strict_validation_flag(self):
-        ops.STRICT_VALIDATE = True
-        try:
-            st = cap(trivial(COUNT), 2)
-            assert is_valid(st.region, st.values, COUNT)
-        finally:
-            ops.STRICT_VALIDATE = False
+    def test_start_width_mismatch_reports_position(self):
+        word = (Generator("cup", 1, 2), Generator("cap", 1, 2))
+        with pytest.raises(ValueError, match="arity mismatch at position 2"):
+            eval_word(word, random_state(3, 0, COUNT))
+
+    def test_steps_end_at_eval_word(self):
+        word = (Generator("cup", 1, 2), Generator("cup", 3, 3), Generator("cap", 3, 4),
+                Generator("cap", 1, 2))
+        steps = list(eval_steps(word, trivial(PRIME)))
+        assert [gen for gen, _ in steps] == list(reversed(word))
+        assert [st.n for _, st in steps] == [3, 5, 3, 1]
+        assert steps[-1][1] == eval_word(word, trivial(PRIME))
+
+
+class TestAgainstSpec:
+    """cap and cup equal the paper's matrix formulas, R' = M R M' + D
+    and R' = (M' R M)^2, at every legal slot."""
+
+    @staticmethod
+    def check_every_slot(st):
+        for k in range(2, st.n + 2):
+            assert cap(st, k) == cap_spec(st, k), (st.spec.name, st.n, k)
+        for k in range(2, st.n):
+            assert cup(st, k) == cup_spec(st, k), (st.spec.name, st.n, k)
+
+    def test_state_pools(self, state_pools):
+        for pool in state_pools.values():
+            for st in pool:
+                self.check_every_slot(st)
+
+    @pytest.mark.parametrize("width", [11, 13])
+    def test_wide_random_states(self, monoids, width):
+        rng = random.Random(f"spec/{width}")
+        for spec in monoids:
+            for _ in range(30):
+                self.check_every_slot(random_state(width, rng, spec))
 
 
 class TestGenerator:

@@ -241,6 +241,8 @@ class TestArities:
     def test_profile(self):
         assert width_profile(CIRCLE) == [1, 3, 1]
         assert width_profile(()) == [1]
+        assert width_profile((), 5) == [5]
+        assert width_profile(CIRCLE, 1) == [1, 3, 1]
 
     def test_closed(self):
         assert is_closed(CIRCLE)
@@ -251,6 +253,11 @@ class TestArities:
         with pytest.raises(ParseError) as excinfo:
             width_profile((Generator("cup", 3, 2), Generator("cap", 1, 2)))
         assert excinfo.value.position == 1
+
+    def test_start_width_mismatch_position(self):
+        with pytest.raises(ParseError, match="incoming width is 3") as excinfo:
+            width_profile(CIRCLE, 3)
+        assert excinfo.value.position == 2
 
 
 class TestCorpora:
