@@ -9,8 +9,9 @@ cup).
 Exit codes: 0 success, 1 invalid input (with 1-based position
 diagnostics), 2 internal invariant violation (method disagreement,
 selftest failure), 3 resource limit reached (the rewrite watchdog of
-normalize --max-steps).  All randomness is seeded and the seed
-is echoed, so any failure replays.
+normalize --max-steps, or a prime value needing an index past the prime
+table).  All randomness is seeded and the seed is echoed, so any
+failure replays.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Input-side problems (bad syntax, out-of-range slots, violated word
 conditions) raise ValueError subclasses and map to exit code 1 in the CLI.
 InternalInvariantError marks states the library promises can never be
 reached (a rewrite breaking validity, method disagreement); the CLI maps it
-to exit code 2.  ResourceLimitError marks a configured work limit that
-valid input can reach (the rewrite watchdog); the CLI maps it to exit
-code 3.
+to exit code 2.  ResourceLimitError marks a work or table limit that
+valid input can reach (the rewrite watchdog, a prime index past the
+prime table); the CLI maps it to exit code 3.
 """
 
 
@@ -23,5 +23,6 @@ class ParseError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured work limit (the rewrite watchdog) was reached before
-    the answer; the input may be fine, it needs a larger limit."""
+    """A work or table limit (the rewrite watchdog, the prime table's
+    MAX_INDEX) was reached before the answer; the input may be fine, it
+    needs a larger limit."""

@@ -58,11 +58,9 @@ def _as_gen_word(word):
 
 @dataclass(frozen=True)
 class InvariantReport:
-    word: str
     monoid: str
     value: str
     method: str
-    agreement: bool | None = None
 
 
 def invariant_reports(word, spec: MonoidSpec) -> tuple[InvariantReport, InvariantReport, bool]:
@@ -74,14 +72,13 @@ def invariant_reports(word, spec: MonoidSpec) -> tuple[InvariantReport, Invarian
     from .rewriting import normalize, to_forest  # local: keep import graph flat
 
     gen_word = _as_gen_word(word)
-    echo = words.format_gen(gen_word)
     direct = eval_closed(gen_word, spec)
     normal, _ = normalize(words.encode(gen_word))
     recursive = forest_value(to_forest(normal), spec)
     agree = direct == recursive
     return (
-        InvariantReport(echo, spec.name, spec.render(direct), "operator", agree),
-        InvariantReport(echo, spec.name, spec.render(recursive), "recursive", agree),
+        InvariantReport(spec.name, spec.render(direct), "operator"),
+        InvariantReport(spec.name, spec.render(recursive), "recursive"),
         agree,
     )
 
@@ -94,8 +91,8 @@ def equivalent(word_a, word_b) -> tuple[bool, tuple[InvariantReport, InvariantRe
     gen_b = _as_gen_word(word_b)
     va = eval_closed(gen_a, spec)
     vb = eval_closed(gen_b, spec)
-    report_a = InvariantReport(words.format_gen(gen_a), spec.name, spec.render(va), "operator")
-    report_b = InvariantReport(words.format_gen(gen_b), spec.name, spec.render(vb), "operator")
+    report_a = InvariantReport(spec.name, spec.render(va), "operator")
+    report_b = InvariantReport(spec.name, spec.render(vb), "operator")
     return va == vb, (report_a, report_b)
 
 

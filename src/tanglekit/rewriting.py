@@ -148,19 +148,6 @@ class Trace(Sequence):
         return f"Trace({list(self)!r})"
 
 
-class _Watchdog:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.count = 0
-
-    def tick(self) -> None:
-        self.count += 1
-        if self.count > self.limit:
-            raise ResourceLimitError(
-                f"rewrite watchdog tripped after {self.limit} rewrites"
-            )
-
-
 def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, Trace]:
     """Rewrite to a word of (+-2, 0) symbols; returns (word, trace).
 
@@ -178,7 +165,6 @@ def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, T
     # positions of the (2,*) symbols, -sum of c*d/2)
     pos_sum, d_balance = rewrite_potential(word)
     records: list = []
-    dog = _Watchdog(max_rewrites)
 
     def rewrite(step: int, rule: str, forward: bool, i: int) -> None:
         nonlocal pos_sum, d_balance
@@ -207,7 +193,8 @@ def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, T
             del pre[i:i + 2]
             pos_sum -= i + 2 + 2 * caps_after
             d_balance += (ca * da + cb * db) // 2
-        dog.tick()
+        if len(records) >= max_rewrites:
+            raise ResourceLimitError(f"rewrite watchdog tripped after {max_rewrites} rewrites")
         records.append((step, rule, forward, i, new, (pos_sum, d_balance)))
 
     def step1() -> None:

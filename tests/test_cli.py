@@ -2,13 +2,24 @@
 
 import contextlib
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from tanglekit.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# One circle around 21 circles: its value needs the 2**21-th prime.
+AROUND_21 = "(-2,0)" + "(-2,0)(2,0)" * 21 + "(2,0)"
+
+
+def nest(depth):
+    return "(-2,0)" * depth + "(2,0)" * depth
 
 CASES = {
     "validate_sym_ok": ["validate", "(-2,0)(-2,0)(2,2)(2,0)"],
@@ -89,6 +100,20 @@ class TestExitCodes:
         code, _, err = run(["normalize", "--max-steps", "-1", "(-2,0)(2,0)"])
         assert code == 1 and err == "ERROR: --max-steps must be >= 0, got -1\n"
 
+    def test_prime_index_past_table_is_three(self):
+        code, out, err = run(["equiv", AROUND_21, AROUND_21])
+        assert code == 3 and out == ""
+        assert err == "LIMIT: prime index 2097152 exceeds the table limit 1000000\n"
+
+    def test_depth_twelve_invariant_is_three(self):
+        code, out, err = run(["invariant", nest(12)])
+        assert code == 3 and out == ""
+        assert err == "LIMIT: prime index 9737333 exceeds the table limit 1000000\n"
+
+    def test_depth_eleven_equiv_answers(self):
+        code, out, _ = run(["equiv", nest(11), nest(11)])
+        assert code == 0 and out == "EQUIVALENT 9737333 9737333\n"
+
     def test_help_is_zero(self):
         code, _, _ = run(["--help"])
         assert code == 0
@@ -102,3 +127,23 @@ class TestEvalErrors:
     def test_steps_report_position(self):
         code, _, err = run(["eval", "U(3,3)", "--monoid", "count", "--steps"])
         assert code == 1 and "position 1" in err
+
+
+class TestModuleEntryPoint:
+    """`python -m tanglekit` runs cli.console_main in a fresh interpreter."""
+
+    @staticmethod
+    def tanglekit(*argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "tanglekit", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def test_validate(self):
+        proc = self.tanglekit("validate", "(-2,0)(2,0)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "VALID 2 symbols\n", "")
+
+    def test_limit_exit_code(self):
+        proc = self.tanglekit("equiv", AROUND_21, AROUND_21)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "LIMIT: prime index 2097152 exceeds the table limit 1000000\n"

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from tanglekit import words
+from tanglekit import primes, words
+from tanglekit.errors import ResourceLimitError
 from tanglekit.invariants import (
     circle_count,
     equivalent,
@@ -47,9 +48,13 @@ class TestNthPrime:
             assert nth_prime(i) == p
 
     def test_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^prime index 0 outside 1\.\.1000000$"):
             nth_prime(0)
-        with pytest.raises(ValueError):
+
+    def test_past_table_is_resource_limit(self):
+        with pytest.raises(
+            ResourceLimitError, match=r"^prime index 1000001 exceeds the table limit 1000000$"
+        ):
             nth_prime(10**6 + 1)
 
     def test_concurrent_lookups_consistent(self):
@@ -69,6 +74,36 @@ class TestNthPrime:
             t.join()
         assert all(results[t] == results[0] for t in results)
         assert results[0][-1] == nth_prime(2999)
+
+
+class TestSieve:
+    """The sieve from its seed table, each test on a fresh table."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_table(self, monkeypatch):
+        monkeypatch.setattr(primes, "_primes", [2, 3, 5, 7, 11, 13])
+
+    def test_every_regrowth_against_independent_sieve(self):
+        limit = 230000  # past the 20000th prime, 224737
+        composite = bytearray(limit)
+        expected = []
+        for p in range(2, limit):
+            if not composite[p]:
+                expected.append(p)
+                for q in range(p * p, limit, p):
+                    composite[q] = 1
+        assert [nth_prime(i) for i in range(1, 20001)] == expected[:20000]
+
+    def test_pinned(self):
+        assert nth_prime(10**4) == 104729
+        assert nth_prime(10**5) == 1299709
+        assert nth_prime(primes.MAX_INDEX) == 15485863
+
+    def test_prime_tower(self):
+        tower = [1]
+        while len(tower) < 12:
+            tower.append(nth_prime(tower[-1]))
+        assert tower[1:] == [2, 3, 5, 11, 31, 127, 709, 5381, 52711, 648391, 9737333]
 
 
 class TestWordValue:
