@@ -29,7 +29,6 @@ from .rewriting import (
     to_forest,
 )
 from .operators import (
-    Generator,
     add_value,
     cap,
     cup,
@@ -41,7 +40,9 @@ from .operators import (
 )
 from .oracle import canonical, completeness_report, enumerate_forests, trace_diagram
 from .states import TangleState, ends_connected, random_state, trivial, validate
-from .words import apply_relation, check_validity, decode, encode, format_sym, parse_word
+from .words import (
+    Generator, apply_relation, check_validity, decode, encode, format_sym, parse_word,
+)
 
 __version__ = "0.1.0"
 

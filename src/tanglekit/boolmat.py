@@ -16,8 +16,6 @@ matrices and may run concurrently on shared inputs.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 class BitMatrix:
     """Immutable rows x cols matrix with entries in {0, 1}; bits[i] is
@@ -156,12 +154,10 @@ class BitMatrix:
 # side.  All builders validate eagerly and never clamp.
 
 
-@lru_cache(maxsize=None)
 def identity(n: int) -> BitMatrix:
     return BitMatrix(n, n, tuple(1 << i for i in range(n)))
 
 
-@lru_cache(maxsize=None)
 def zero(rows: int, cols: int) -> BitMatrix:
     return BitMatrix(rows, cols, (0,) * rows)
 
@@ -173,7 +169,6 @@ def _check_slot(n: int, k: int) -> None:
         raise ValueError(f"slot k={k} outside 2..{n + 1} for width {n}")
 
 
-@lru_cache(maxsize=None)
 def insert_map(n: int, k: int) -> BitMatrix:
     """(n+2) x n map sending old interval j to its place after two new
     intervals are inserted so that the new region sits at slot k.
@@ -192,7 +187,6 @@ def insert_map(n: int, k: int) -> BitMatrix:
     return BitMatrix(n + 2, n, tuple(bits))
 
 
-@lru_cache(maxsize=None)
 def single_diag(n: int, k: int) -> BitMatrix:
     """n x n matrix with a single 1 on the diagonal at (k, k), 1-based."""
     if not 1 <= k <= n:
@@ -200,7 +194,6 @@ def single_diag(n: int, k: int) -> BitMatrix:
     return BitMatrix(n, n, tuple(1 << i if i == k - 1 else 0 for i in range(n)))
 
 
-@lru_cache(maxsize=None)
 def reversal(n: int) -> BitMatrix:
     """Anti-diagonal n x n matrix; conjugating by it reverses interval
     order (its square is the identity)."""
@@ -209,7 +202,6 @@ def reversal(n: int) -> BitMatrix:
     return BitMatrix(n, n, tuple(1 << (n - 1 - i) for i in range(n)))
 
 
-@lru_cache(maxsize=None)
 def inner_embed(n: int) -> BitMatrix:
     """(n+2) x n map placing old interval j at position j+1: the
     embedding used when a curve is drawn around the whole picture."""
@@ -221,7 +213,6 @@ def inner_embed(n: int) -> BitMatrix:
     return BitMatrix(n + 2, n, tuple(bits))
 
 
-@lru_cache(maxsize=None)
 def outer_corners(n: int) -> BitMatrix:
     """n x n matrix with ones exactly on {1, n} x {1, n} (1-based):
     joins the outermost two intervals into one region."""
@@ -232,7 +223,6 @@ def outer_corners(n: int) -> BitMatrix:
     return BitMatrix(n, n, tuple(bits))
 
 
-@lru_cache(maxsize=None)
 def checkerboard(rows: int, cols: int) -> BitMatrix:
     """Ones exactly where i-j is even (1-based), i.e. the parity mask
     that any region-connectivity matrix must respect."""

@@ -20,9 +20,9 @@ import argparse
 import random
 import sys
 
-from . import invariants, rewriting, oracle, states, words
+from . import boolmat, invariants, rewriting, oracle, states, words
 from .errors import InternalInvariantError, ResourceLimitError
-from .lomonoid import MonoidSpec, count_monoid, prime_monoid
+from .lomonoid import MonoidSpec, axiom_failures, count_monoid, prime_monoid
 from .operators import cap, cup, eval_steps, mirror
 from .states import trivial
 from .words import format_sym, parse_word, to_gen_word, to_sym_word
@@ -108,6 +108,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     return run_selftest(seed=args.seed, trials=args.trials)
 
 
@@ -213,8 +215,6 @@ def run_selftest(seed: int, trials: int) -> int:
 
 
 def _selftest_identities() -> int:
-    from . import boolmat
-
     checks = 0
     for n in range(1, 7):
         for k in range(2, n + 2):
@@ -232,8 +232,6 @@ def _selftest_identities() -> int:
 
 
 def _selftest_axioms(seed: int, trials: int) -> int:
-    from .lomonoid import axiom_failures
-
     checks = 0
     for spec in (count_monoid(), prime_monoid()):
         rng = random.Random(seed)
@@ -297,3 +295,7 @@ def _selftest_completeness() -> int:
     report = oracle.completeness_report(5)
     assert report.ok
     return len(report.rows)
+
+
+if __name__ == "__main__":
+    console_main()

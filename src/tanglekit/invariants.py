@@ -3,8 +3,9 @@
 A closed word evaluates on the trivial state to a width-1 state whose
 single value is the invariant (`word_value`).  Independently, a nesting
 forest has a value by structural recursion: a forest is the oplus over
-its trees of phi(value of the tree's children) (`forest_value`).  The
-two agree; the test suite pins that on exhaustive and random corpora.
+its trees of phi(value of the tree's children) (`forest_value`, a
+rewriting.fold re-exported here).  The two agree; the test suite pins
+that on exhaustive and random corpora.
 
 Under the prime instance the invariant is a complete isotopy invariant
 for systems of disjoint circles (equal values iff equal nesting
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 from . import words
 from .lomonoid import MonoidSpec, Value, count_monoid, prime_monoid
-from .rewriting import Forest
 from .operators import eval_closed
 from .primes import nth_prime  # noqa: F401  (re-exported)
+from .rewriting import forest_value, normalize, to_forest
 
 
 def word_value(word, spec: MonoidSpec) -> Value:
@@ -29,25 +30,6 @@ def word_value(word, spec: MonoidSpec) -> Value:
     or a symbol word; the word must be closed."""
     gen_word = _as_gen_word(word)
     return eval_closed(gen_word, spec)
-
-
-def forest_value(forest: Forest, spec: MonoidSpec) -> Value:
-    """Invariant by structural recursion over the nesting forest: the
-    oplus, left to right, of phi(value of each tree's children).  Walked
-    iteratively, so no depth of nesting meets the recursion limit."""
-    stack = [iter(forest)]
-    sums = [spec.zero]  # oplus of the finished children per open node
-    while True:
-        child = next(stack[-1], None)
-        if child is not None:
-            stack.append(iter(child))
-            sums.append(spec.zero)
-            continue
-        stack.pop()
-        value = sums.pop()
-        if not stack:
-            return value
-        sums[-1] = spec.oplus(sums[-1], spec.phi(value))
 
 
 def _as_gen_word(word):
@@ -69,16 +51,14 @@ def invariant_reports(word, spec: MonoidSpec) -> tuple[InvariantReport, Invarian
     Disagreement would falsify the representation; it is reported (and
     mapped to exit code 2 by the CLI), never hidden.
     """
-    from .rewriting import normalize, to_forest  # local: keep import graph flat
-
     gen_word = _as_gen_word(word)
     direct = eval_closed(gen_word, spec)
     normal, _ = normalize(words.encode(gen_word))
     recursive = forest_value(to_forest(normal), spec)
     agree = direct == recursive
     return (
-        InvariantReport(spec.name, spec.render(direct), "operator"),
-        InvariantReport(spec.name, spec.render(recursive), "recursive"),
+        InvariantReport(spec.name, str(direct), "operator"),
+        InvariantReport(spec.name, str(recursive), "recursive"),
         agree,
     )
 
@@ -91,8 +71,8 @@ def equivalent(word_a, word_b) -> tuple[bool, tuple[InvariantReport, InvariantRe
     gen_b = _as_gen_word(word_b)
     va = eval_closed(gen_a, spec)
     vb = eval_closed(gen_b, spec)
-    report_a = InvariantReport(spec.name, spec.render(va), "operator")
-    report_b = InvariantReport(spec.name, spec.render(vb), "operator")
+    report_a = InvariantReport(spec.name, str(va), "operator")
+    report_b = InvariantReport(spec.name, str(vb), "operator")
     return va == vb, (report_a, report_b)
 
 

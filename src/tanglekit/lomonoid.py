@@ -44,7 +44,6 @@ class MonoidSpec:
     join: Callable[[Value, Value], Value] = field(compare=False)
     meet: Callable[[Value, Value], Value] = field(compare=False)
     phi: Callable[[Value], Value] = field(compare=False)
-    render: Callable[[Value], str] = field(compare=False)
     sample: Callable[[random.Random], Value] = field(compare=False)
     elements: tuple | None = field(default=None, compare=False)
 
@@ -142,7 +141,6 @@ def count_monoid() -> MonoidSpec:
         join=max,
         meet=min,
         phi=lambda n: n + 1,
-        render=str,
         sample=_sample_count,
     )
 
@@ -158,7 +156,6 @@ def prime_monoid() -> MonoidSpec:
         join=math.lcm,
         meet=math.gcd,
         phi=primes.nth_prime,
-        render=str,
         sample=_sample_prime_product,
     )
 
@@ -203,7 +200,6 @@ def lattice_monoid(
         join=lambda a, b: jn[(a, b)],
         meet=lambda a, b: mt[(a, b)],
         phi=phi if phi is not None else (lambda a: a),
-        render=str,
         sample=lambda rng: rng.choice(elems),
         elements=elems,
     )

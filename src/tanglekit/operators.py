@@ -33,52 +33,11 @@ is the topmost piece of the diagram and is applied first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import boolmat
 from .boolmat import BitMatrix
 from .lomonoid import MonoidSpec, Value, act
 from .states import TangleState, ends_connected, trivial
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A cap or cup reference: kind, width parameter n, slot k.
-
-    A cap with parameter n maps width n to n+2; a cup with parameter n
-    maps width n+2 down to n.  Both require 2 <= k <= n+1.
-    """
-
-    kind: str
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.kind not in ("cap", "cup"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError(f"generator width parameter {self.n} must be >= 1")
-        if not 2 <= self.k <= self.n + 1:
-            raise ValueError(
-                f"slot k={self.k} outside 2..{self.n + 1} for width parameter {self.n}"
-            )
-
-    @property
-    def in_width(self) -> int:
-        return self.n if self.kind == "cap" else self.n + 2
-
-    @property
-    def out_width(self) -> int:
-        return self.n + 2 if self.kind == "cap" else self.n
-
-    def symbol(self) -> tuple[int, int]:
-        """(+-2, d) code: d is strands-left minus strands-right."""
-        c = 2 if self.kind == "cap" else -2
-        return (c, 2 * self.k - self.n - 3)
-
-    def text(self) -> str:
-        letter = "H" if self.kind == "cap" else "U"
-        return f"{letter}({self.n},{self.k})"
+from .words import Generator, width_profile
 
 
 def cap(state: TangleState, k: int) -> TangleState:
@@ -171,8 +130,6 @@ def eval_steps(word, start: TangleState):
     """Yield (generator, state after it) along a composition-ordered
     word (leftmost = bottom of diagram), rightmost generator first.
     The arities are checked against start's width before any step."""
-    from .words import width_profile  # deferred: words imports this module
-
     width_profile(word, start.n)
     state = start
     for gen in reversed(word):

@@ -19,8 +19,8 @@ from .lomonoid import count_monoid, prime_monoid
 from .rewriting import (
     Forest,
     canonicalize,
-    forest_size,
     forest_string,
+    forest_value,
     to_forest,
 )
 from .words import width_profile
@@ -202,8 +202,6 @@ def completeness_report(max_circles: int) -> CompletenessReport:
     """Prime invariant over every forest with at most max_circles
     circles.  A collision (two forests, one value) is reported as a
     failed check, not raised."""
-    from .invariants import forest_value  # local: oracle stays importable alone
-
     if not 0 <= max_circles <= 8:
         raise ValueError(f"circle count {max_circles} outside 0..8")
     prime = prime_monoid()

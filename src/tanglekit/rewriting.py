@@ -40,17 +40,20 @@ Forests are nested tuples: a tree is the tuple of its child trees, a
 forest is a tuple of trees.  The canonical form orders siblings by
 their parenthesis strings, shorter first then lexicographic; it is
 chosen independently of the numeric invariants so the two can
-cross-check each other.  The forest helpers walk iteratively, so any
-depth of nesting works.
+cross-check each other.  `fold` is the one forest walker: iterative,
+so any depth of nesting works.  forest_string, canonicalize,
+forest_size and the structural invariant forest_value are folds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 
 from .errors import InternalInvariantError, ResourceLimitError
+from .lomonoid import MonoidSpec, Value
 from .words import SymWord, format_sym, out_of_bounds, require_valid, rewrite_pair
 
 DEFAULT_MAX_REWRITES = 10**6
@@ -316,11 +319,12 @@ def to_forest(sym) -> Forest:
     return tuple(stack[0])
 
 
-def _canonical(forest: Forest) -> tuple[Forest, str]:
-    """Canonical form and canonical string of a forest, bottom-up in one
-    iterative pass, so each subtree's string is built once and no depth
-    of nesting meets the recursion limit."""
-    done: list[list[tuple[str, Tree]]] = [[]]  # finished children per open node
+def fold(forest: Forest, combine, wrap):
+    """Fold a forest bottom-up, iteratively.  A node's result is
+    combine(its children's wrapped results, left to right); wrap runs on
+    each tree's result as soon as that tree is finished, before its next
+    sibling is entered.  The forest's own result is returned unwrapped."""
+    done: list[list] = [[]]  # wrapped results of finished children per open node
     stack = [iter(forest)]
     while True:
         child = next(stack[-1], None)
@@ -329,23 +333,29 @@ def _canonical(forest: Forest) -> tuple[Forest, str]:
             done.append([])
             continue
         stack.pop()
-        kids = done.pop()
-        kids.sort(key=lambda kid: (len(kid[0]), kid[0]))
-        body = "".join(s for s, _ in kids)
-        node = tuple(t for _, t in kids)
+        result = combine(done.pop())
         if not stack:
-            return node, body
-        done[-1].append(("(" + body + ")", node))
+            return result
+        done[-1].append(wrap(result))
+
+
+def _sort_siblings(kids: list[tuple[str, Tree]]) -> tuple[str, Tree]:
+    kids.sort(key=lambda kid: (len(kid[0]), kid[0]))
+    return "".join(s for s, _ in kids), tuple(t for _, t in kids)
+
+
+def _parenthesize(canon: tuple[str, Tree]) -> tuple[str, Tree]:
+    return "(" + canon[0] + ")", canon[1]
 
 
 def forest_string(forest: Forest) -> str:
     """Canonical parenthesis string: equal strings iff isotopic systems."""
-    return _canonical(forest)[1]
+    return fold(forest, _sort_siblings, _parenthesize)[0]
 
 
 def canonicalize(forest: Forest) -> Forest:
     """Reorder all siblings into canonical order."""
-    return _canonical(forest)[0]
+    return fold(forest, _sort_siblings, _parenthesize)[1]
 
 
 def from_forest(forest: Forest) -> SymWord:
@@ -355,9 +365,12 @@ def from_forest(forest: Forest) -> SymWord:
 
 
 def forest_size(forest: Forest) -> int:
-    size = 0
-    stack = list(forest)
-    while stack:
-        size += 1
-        stack.extend(stack.pop())
-    return size
+    return fold(forest, sum, lambda size: size + 1)
+
+
+def forest_value(forest: Forest, spec: MonoidSpec) -> Value:
+    """Invariant by structural recursion over the nesting forest: the
+    oplus, left to right, of phi(value of each tree's children).  phi
+    runs on each tree as soon as it is finished, so the first prime
+    index past the table is met in walk order."""
+    return fold(forest, lambda values: reduce(spec.oplus, values, spec.zero), spec.phi)

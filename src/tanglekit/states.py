@@ -1,4 +1,5 @@
-"""Validated states: a region-connectivity matrix plus region values.
+"""States: a region-connectivity matrix plus region values; `validate`
+is the checked constructor (cap and cup build TangleState unchecked).
 
 A TangleState of width n is an n x n BitMatrix R together with an
 n-tuple of monoid values, one per interval of the horizontal line cut
@@ -50,11 +51,11 @@ class TangleState:
     def dump(self) -> str:
         """Matrix rows as 0/1 lines, then the value tuple."""
         lines = self.region.to_lines()
-        rendered = ", ".join(self.spec.render(v) for v in self.values)
+        rendered = ", ".join(str(v) for v in self.values)
         return "\n".join(lines + [f"({rendered})"])
 
     def summary(self) -> str:
-        rendered = ", ".join(self.spec.render(v) for v in self.values)
+        rendered = ", ".join(str(v) for v in self.values)
         return f"width {self.n} values ({rendered})"
 
 

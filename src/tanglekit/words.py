@@ -1,4 +1,5 @@
-"""Tangle words and their (+-2, d) symbol encoding.
+"""Tangle words: the Generator, its H(n,k)/U(n,k) text and its (+-2, d)
+symbol encoding, each both written and read back in this module.
 
 Word order convention (fixed globally) -------------------------------
 
@@ -39,9 +40,52 @@ replayable step by step.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ParseError
-from .operators import Generator
+
+
+# -- generators ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Generator:
+    """A cap or cup reference: kind, width parameter n, slot k.
+
+    A cap with parameter n maps width n to n+2; a cup with parameter n
+    maps width n+2 down to n.  Both require 2 <= k <= n+1.
+    """
+
+    kind: str
+    n: int
+    k: int
+
+    def __post_init__(self):
+        if self.kind not in ("cap", "cup"):
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError(f"generator width parameter {self.n} must be >= 1")
+        if not 2 <= self.k <= self.n + 1:
+            raise ValueError(
+                f"slot k={self.k} outside 2..{self.n + 1} for width parameter {self.n}"
+            )
+
+    @property
+    def in_width(self) -> int:
+        return self.n if self.kind == "cap" else self.n + 2
+
+    @property
+    def out_width(self) -> int:
+        return self.n + 2 if self.kind == "cap" else self.n
+
+    def symbol(self) -> tuple[int, int]:
+        """(+-2, d) code: d is strands-left minus strands-right."""
+        c = 2 if self.kind == "cap" else -2
+        return (c, 2 * self.k - self.n - 3)
+
+    def text(self) -> str:
+        letter = "H" if self.kind == "cap" else "U"
+        return f"{letter}({self.n},{self.k})"
+
 
 Symbol = tuple[int, int]
 SymWord = tuple[Symbol, ...]
@@ -240,8 +284,8 @@ def _assert_still_valid(sym, rule: str) -> None:
 # (H = cap, U = cup).  Symbol form: (c,d)(c,d)... with no separators.
 # Detection: first non-space character '(' means symbol form.
 
-_SYM_TOKEN = re.compile(r"\((-?\d+),(-?\d+)\)")
-_GEN_TOKEN = re.compile(r"([HU])\((\d+),(\d+)\)\Z")
+_SYM_TOKEN = re.compile(r"\((-?[0-9]+),(-?[0-9]+)\)")
+_GEN_TOKEN = re.compile(r"([HU])\(([0-9]+),([0-9]+)\)\Z")
 
 
 def parse_sym(text: str) -> SymWord:

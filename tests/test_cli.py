@@ -100,6 +100,19 @@ class TestExitCodes:
         code, _, err = run(["normalize", "--max-steps", "-1", "(-2,0)(2,0)"])
         assert code == 1 and err == "ERROR: --max-steps must be >= 0, got -1\n"
 
+    def test_negative_trials_is_one(self):
+        code, out, err = run(["selftest", "--trials", "-1"])
+        assert code == 1 and out == ""
+        assert err == "ERROR: --trials must be >= 0, got -1\n"
+
+    def test_non_ascii_digit_symbol_is_one(self):
+        code, out, err = run(["validate", "(-2,\u0660)(2,\u0660)"])
+        assert code == 1 and out == "" and "symbol 1: bad token" in err
+
+    def test_non_ascii_digit_generator_is_one(self):
+        code, out, err = run(["validate", "U(\u0661,\u0662);H(\u0661,\u0662)"])
+        assert code == 1 and out == "" and "generator 1: bad token" in err
+
     def test_prime_index_past_table_is_three(self):
         code, out, err = run(["equiv", AROUND_21, AROUND_21])
         assert code == 3 and out == ""
@@ -132,11 +145,12 @@ class TestEvalErrors:
 class TestModuleEntryPoint:
     """`python -m tanglekit` runs cli.console_main in a fresh interpreter."""
 
-    @staticmethod
-    def tanglekit(*argv):
+    module = "tanglekit"
+
+    def tanglekit(self, *argv):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", "tanglekit", *argv],
+        return subprocess.run([sys.executable, "-m", self.module, *argv],
                               capture_output=True, text=True, env=env, timeout=60)
 
     def test_validate(self):
@@ -147,3 +161,9 @@ class TestModuleEntryPoint:
         proc = self.tanglekit("equiv", AROUND_21, AROUND_21)
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr == "LIMIT: prime index 2097152 exceeds the table limit 1000000\n"
+
+
+class TestCliModuleEntryPoint(TestModuleEntryPoint):
+    """`python -m tanglekit.cli` runs the same entry point."""
+
+    module = "tanglekit.cli"

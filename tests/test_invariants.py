@@ -156,6 +156,22 @@ class TestForestValue:
         forest = to_forest(((-2, 0),) * depth + ((2, 0),) * depth)
         assert forest_value(forest, COUNT) == depth
 
+    def test_first_index_past_table_in_walk_order(self):
+        # phi runs on each tree as soon as it is finished, so the tree
+        # walked first names the refused prime index.
+        around_21 = ((),) * 21  # one circle around 21 circles
+        nest_12 = ()
+        for _ in range(11):
+            nest_12 = (nest_12,)  # twelve nested circles
+        with pytest.raises(ResourceLimitError, match=r"^prime index 2097152 "):
+            forest_value((around_21, nest_12), PRIME)
+        with pytest.raises(ResourceLimitError, match=r"^prime index 9737333 "):
+            forest_value((nest_12, around_21), PRIME)
+        # nest_12 is refused when it is finished, before the next tree's
+        # inner phi(2**21) runs.
+        with pytest.raises(ResourceLimitError, match=r"^prime index 9737333 "):
+            forest_value((nest_12, (around_21,)), PRIME)
+
 
 class TestMethodAgreement:
     @pytest.mark.parametrize("make", [count_monoid, prime_monoid])

@@ -1,0 +1,74 @@
+"""Import layering of the package, read from the source's syntax trees.
+
+Each data format lives in one module, so the modules that read and
+write words and forests never reach up to the operator side, and only
+a real import cycle justifies an import inside a function.
+"""
+
+import ast
+import pathlib
+
+import tanglekit
+from tanglekit import invariants, operators, rewriting, words
+
+PACKAGE = pathlib.Path(tanglekit.__file__).parent
+
+
+def syntax_tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def function_level_imports(tree):
+    """Names of the functions holding an import statement."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                if function is not None:
+                    found.append(function)
+            else:
+                visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def imported_package_modules(tree):
+    """The tanglekit modules a module imports, anywhere in its body."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level:
+                out.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("tanglekit."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("tanglekit."))
+    return out
+
+
+def test_only_random_state_imports_inside_a_function():
+    # states.random_state breaks the states <-> operators cycle.
+    found = [
+        f"{path.stem}.{function}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in function_level_imports(syntax_tree(path.stem))
+    ]
+    assert found == ["states.random_state"]
+
+
+def test_format_modules_stay_below_operators():
+    for module in ("words", "rewriting", "oracle"):
+        imported = imported_package_modules(syntax_tree(module))
+        assert not imported & {"operators", "states"}, module
+
+
+def test_moved_names_still_resolve():
+    assert tanglekit.Generator is operators.Generator is words.Generator
+    assert tanglekit.forest_value is invariants.forest_value is rewriting.forest_value
