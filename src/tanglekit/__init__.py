@@ -1,7 +1,8 @@
 """tanglekit: operator calculus for systems of disjoint planar curves.
 
-Curve diagrams are words of caps and cups; states carry a Boolean
-region-connectivity matrix acting on lattice-ordered-monoid values.
+Curve diagrams are words of caps and cups; states carry one region
+label and one lattice-ordered-monoid value per interval, and read the
+labels as the paper's Boolean region-connectivity matrix.
 The package normalizes words to nesting forests, computes complete
 prime-coded invariants, and cross-checks everything against an
 independent geometric sweep.

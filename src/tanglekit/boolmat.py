@@ -202,27 +202,6 @@ def reversal(n: int) -> BitMatrix:
     return BitMatrix(n, n, tuple(1 << (n - 1 - i) for i in range(n)))
 
 
-def inner_embed(n: int) -> BitMatrix:
-    """(n+2) x n map placing old interval j at position j+1: the
-    embedding used when a curve is drawn around the whole picture."""
-    if n < 1:
-        raise ValueError("inner_embed needs n >= 1")
-    bits = [0]
-    bits += [1 << j for j in range(n)]
-    bits += [0]
-    return BitMatrix(n + 2, n, tuple(bits))
-
-
-def outer_corners(n: int) -> BitMatrix:
-    """n x n matrix with ones exactly on {1, n} x {1, n} (1-based):
-    joins the outermost two intervals into one region."""
-    if n < 2:
-        raise ValueError("outer_corners needs n >= 2")
-    corner = 1 | (1 << (n - 1))
-    bits = [corner] + [0] * (n - 2) + [corner]
-    return BitMatrix(n, n, tuple(bits))
-
-
 def checkerboard(rows: int, cols: int) -> BitMatrix:
     """Ones exactly where i-j is even (1-based), i.e. the parity mask
     that any region-connectivity matrix must respect."""

@@ -17,6 +17,7 @@ failure replays.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -113,7 +114,10 @@ def _cmd_selftest(args) -> int:
     return run_selftest(seed=args.seed, trials=args.trials)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by
+    every call; parsing leaves it unchanged, and callers must too."""
     parser = argparse.ArgumentParser(
         prog="tanglekit",
         description="normalize, evaluate and classify systems of disjoint planar curves",
@@ -163,9 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; our contract reserves 2.
         return EXIT_OK if exc.code == 0 else EXIT_INVALID

@@ -18,14 +18,15 @@ off and x = phi(value inside); otherwise two regions merge and
 x = meet of their values (their join is already present, and
 join (+) meet = (+) of both).
 
-The code edits the region rows (one bitmask int per interval) directly,
-at O(w) row operations per generator of width w, and relies on the
-input being a valid state.  With 0-based intervals: a cap splits
-interval k-2 into k-2, k-1 (the new region) and k, shifting every
-row's higher bits up by two; a cup folds intervals k-2 and k into one,
-drops k-1, and gives every row of the two merged regions their union
-(regions are equivalence classes, so merging two needs no closure)
-and the value join (+) x.
+The code edits the state's region labels (one per interval) with
+slices and `index` scans, so a generator of width w costs O(w) work
+done in C plus O(size of the merged region) Python steps, and
+relies on the input being a valid state.  With 0-based intervals: a
+cap splits interval k-2 into k-2, k-1 (a fresh label, the new region)
+and k (the label of k-2 again); a cup folds intervals k-2 and k into
+one and drops k-1.  If k-2 and k carry different labels, the two
+regions merge: the intervals labelled like k gain the label of k-2.
+Every interval of the merged region then holds the value join (+) x.
 
 A word of generators is evaluated right-to-left: the rightmost factor
 is the topmost piece of the diagram and is applied first.
@@ -33,9 +34,7 @@ is the topmost piece of the diagram and is applied first.
 
 from __future__ import annotations
 
-from . import boolmat
-from .boolmat import BitMatrix
-from .lomonoid import MonoidSpec, Value, act
+from .lomonoid import MonoidSpec, Value
 from .states import TangleState, ends_connected, trivial
 from .words import Generator, width_profile
 
@@ -45,12 +44,11 @@ def cap(state: TangleState, k: int) -> TangleState:
     n = state.n
     if not 2 <= k <= n + 1:
         raise ValueError(f"cap slot k={k} outside 2..{n + 1} for width {n}")
-    lo = (1 << (k - 1)) - 1
-    rows = tuple((x & lo) | ((x >> (k - 2)) << k) for x in state.region.bits)
-    region = BitMatrix(n + 2, n + 2, rows[:k - 1] + (1 << (k - 1),) + rows[k - 2:])
+    lab = state.labels
+    labels = lab[:k - 1] + (max(lab) + 1,) + lab[k - 2:]
     v = state.values
     values = v[:k - 1] + (state.spec.zero,) + v[k - 2:]
-    return TangleState(n + 2, region, values, state.spec)
+    return TangleState(n + 2, labels, values, state.spec)
 
 
 def cup_value(state: TangleState, k: int) -> Value:
@@ -59,7 +57,7 @@ def cup_value(state: TangleState, k: int) -> Value:
     if not (n >= 3 and 2 <= k <= n - 1):
         raise ValueError(f"cup slot k={k} outside 2..{n - 1} for width {n}")
     v = state.values
-    if state.region.entry(k - 2, k):  # flanking intervals share a region
+    if state.labels[k - 2] == state.labels[k]:  # flanking intervals share a region
         return state.spec.phi(v[k - 1])
     return state.spec.meet(v[k - 2], v[k])
 
@@ -75,34 +73,39 @@ def cup(state: TangleState, k: int) -> TangleState:
     spec = state.spec
     v = state.values
     joined = spec.oplus(spec.join(v[k - 2], v[k]), cup_value(state, k))
-    lo = (1 << (k - 1)) - 1
-    rows = [(x & lo) | ((x >> k) << (k - 2)) for x in state.region.bits]
-    merged = rows[k - 2] | rows[k]
-    del rows[k - 1:k + 1]
-    values = list(v[:k - 1] + v[k + 1:])
-    bit = 1 << (k - 2)
-    for i, x in enumerate(rows):
-        if x & bit:
-            rows[i] = merged
-            values[i] = joined
-    return TangleState(n, BitMatrix(n, n, tuple(rows)), tuple(values), spec)
+    lab = state.labels
+    a, b = lab[k - 2], lab[k]
+    labels = list(lab)
+    del labels[k - 1:k + 1]
+    values = list(v)
+    del values[k - 1:k + 1]
+    for old in {a, b}:  # the merged region: a's intervals and b's, relabelled a
+        i = -1
+        try:
+            while True:
+                i = labels.index(old, i + 1)
+                labels[i] = a
+                values[i] = joined
+        except ValueError:  # no interval labelled old is left
+            pass
+    return TangleState(n, tuple(labels), tuple(values), spec)
 
 
 def mirror(state: TangleState) -> TangleState:
     """Left-right reflection; an involution."""
-    s = boolmat.reversal(state.n)
-    region = s @ state.region @ s
-    values = act(s, state.values, state.spec)
-    return TangleState(state.n, region, values, state.spec)
+    return TangleState(state.n, state.labels[::-1], state.values[::-1], state.spec)
 
 
 def add_value(state: TangleState, m: Value) -> TangleState:
     """Add m into the region of the first interval (and therefore into
     every interval of that region)."""
-    spec = state.spec
-    bumped = (spec.oplus(m, state.values[0]),) + state.values[1:]
-    values = act(state.region, bumped, spec)
-    return TangleState(state.n, state.region, values, spec)
+    first = state.labels[0]
+    bumped = state.spec.oplus(m, state.values[0])
+    values = tuple(
+        bumped if label == first else value
+        for label, value in zip(state.labels, state.values)
+    )
+    return TangleState(state.n, state.labels, values, state.spec)
 
 
 def encircle_state(state: TangleState) -> TangleState:
@@ -113,11 +116,11 @@ def encircle_state(state: TangleState) -> TangleState:
     """
     if not ends_connected(state):
         raise ValueError("encircle_state needs the outer intervals connected")
-    n = state.n
-    e = boolmat.inner_embed(n)
-    region = e @ state.region @ e.transpose() + boolmat.outer_corners(n + 2)
-    values = act(e, state.values, state.spec)
-    return TangleState(n + 2, region, values, state.spec)
+    outer = (max(state.labels) + 1,)
+    zero = (state.spec.zero,)
+    return TangleState(
+        state.n + 2, outer + state.labels + outer, zero + state.values + zero, state.spec
+    )
 
 
 def shift(gen: Generator) -> Generator:

@@ -1,10 +1,15 @@
-"""States: a region-connectivity matrix plus region values; `validate`
-is the checked constructor (cap and cup build TangleState unchecked).
+"""States: one region label and one monoid value per interval;
+`validate` is the checked constructor (cap and cup build TangleState
+unchecked).
 
-A TangleState of width n is an n x n BitMatrix R together with an
-n-tuple of monoid values, one per interval of the horizontal line cut
-by a curve diagram.  R records which intervals lie in the same plane
-region.  Validity means:
+A TangleState of width n cuts a horizontal line into n intervals of a
+curve diagram.  `labels[i]` names the plane region interval i lies in:
+two intervals share a region exactly when their labels are equal.  The
+label values themselves carry no meaning, so equality and hashing go
+through the canonical partition (labels renumbered in order of first
+occurrence).  The `region` property reads the same partition as the
+n x n BitMatrix R of the paper, built on each read.  Validity of R
+means:
 
   E1  R >= I                      (every interval is in its own region)
   E2  R symmetric
@@ -16,6 +21,8 @@ region.  Validity means:
   EC  act(R, v) = v               (values constant on regions)
 
 plus the derived constancy check VC: R[i,j] = 1 implies v_i == v_j.
+Labels satisfy E1-E3 by construction; the checks run on the matrix a
+caller hands to `validate`, which turns it into labels once they pass.
 `validate` reports every violated property with a witness, not just the
 first, so shrinking diagnostics stay complete.
 
@@ -41,12 +48,32 @@ class StateValidationError(ValueError):
         super().__init__(f"invalid state: {detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangleState:
     n: int
-    region: BitMatrix
+    labels: tuple
     values: ValueArray
     spec: MonoidSpec
+
+    def _key(self) -> tuple:
+        first: dict = {}  # label -> its number in order of first occurrence
+        partition = tuple(first.setdefault(label, len(first)) for label in self.labels)
+        return (self.n, partition, self.values, self.spec)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TangleState) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @property
+    def region(self) -> BitMatrix:
+        """The region-connectivity matrix: R[i,j] = 1 iff intervals i
+        and j share a region."""
+        masks: dict = {}
+        for i, label in enumerate(self.labels):
+            masks[label] = masks.get(label, 0) | (1 << i)
+        return BitMatrix(self.n, self.n, tuple(masks[label] for label in self.labels))
 
     def dump(self) -> str:
         """Matrix rows as 0/1 lines, then the value tuple."""
@@ -156,7 +183,14 @@ def validate(region: BitMatrix, values, spec: MonoidSpec) -> TangleState:
     failures = _property_failures(region, tuple(values), spec)
     if failures:
         raise StateValidationError(failures)
-    return TangleState(region.rows, region, tuple(values), spec)
+    return from_region(region, values, spec)
+
+
+def from_region(region: BitMatrix, values, spec: MonoidSpec) -> TangleState:
+    """The state of a valid region matrix, unchecked: each interval is
+    labelled by the first interval of its region (its row's lowest bit)."""
+    labels = tuple((row & -row).bit_length() - 1 for row in region.bits)
+    return TangleState(region.rows, labels, tuple(values), spec)
 
 
 def is_valid(region: BitMatrix, values, spec: MonoidSpec) -> bool:
@@ -169,14 +203,14 @@ def is_valid(region: BitMatrix, values, spec: MonoidSpec) -> bool:
 
 def trivial(spec: MonoidSpec) -> TangleState:
     """The width-1 state: one region holding the zero value."""
-    return TangleState(1, boolmat.identity(1), (spec.zero,), spec)
+    return TangleState(1, (0,), (spec.zero,), spec)
 
 
 def ends_connected(state: TangleState) -> bool:
     """True iff the first and last intervals share a region.  Every
     state reached from trivial() by cap/cup has this (the outer region
     wraps around); width-even states never do, by parity."""
-    return state.region.entry(0, state.n - 1) == 1
+    return state.labels[0] == state.labels[-1]
 
 
 def random_state(width: int, seed, spec: MonoidSpec) -> TangleState:

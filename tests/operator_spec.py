@@ -6,8 +6,8 @@ cap:  R' = M R M' + D,        v' = M * v
 cup:  R' = (M' R M)^2,        v' = R' * [(M' * v) (+) (e_{k-1} * x)]
 
 with M = insert_map(n, k), D = single_diag(n+2, k) and x = cup_value.
-The library computes the same states by editing region rows directly;
-the tests assert equality with these formulas.
+The library computes the same states by editing one region label per
+interval; the tests assert equality with these formulas.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from tanglekit.boolmat import BitMatrix, identity, insert_map, single_diag
 from tanglekit.errors import InternalInvariantError
 from tanglekit.lomonoid import MonoidSpec, Value, ValueArray, act
 from tanglekit.operators import cup_value
-from tanglekit.states import TangleState
+from tanglekit.states import TangleState, from_region
 
 
 def cap_spec(state: TangleState, k: int) -> TangleState:
@@ -26,7 +26,7 @@ def cap_spec(state: TangleState, k: int) -> TangleState:
     n = state.n
     m = insert_map(n, k)
     region = m @ state.region @ m.transpose() + single_diag(n + 2, k)
-    return TangleState(n + 2, region, act(m, state.values, state.spec), state.spec)
+    return from_region(region, act(m, state.values, state.spec), state.spec)
 
 
 def cup_spec(state: TangleState, k: int) -> TangleState:
@@ -40,7 +40,7 @@ def cup_spec(state: TangleState, k: int) -> TangleState:
     region = folded @ folded
     injected = list(act(mt, state.values, spec))
     injected[k - 2] = spec.oplus(injected[k - 2], cup_value(state, k))
-    return TangleState(n, region, act(region, injected, spec), spec)
+    return from_region(region, act(region, injected, spec), spec)
 
 
 # -- matrix helpers ------------------------------------------------------
@@ -101,6 +101,27 @@ def masked_transfer(n: int, k: int) -> BitMatrix:
     """insert_map(n, k) transposed with the (k-1, k+1) entry cleared:
     the transfer matrix that ignores the interval right of the cup."""
     return insert_map(n, k).transpose() @ (identity(n + 2) - single_diag(n + 2, k + 1))
+
+
+def inner_embed(n: int) -> BitMatrix:
+    """(n+2) x n map placing old interval j at position j+1: the
+    embedding used when a curve is drawn around the whole picture."""
+    if n < 1:
+        raise ValueError("inner_embed needs n >= 1")
+    bits = [0]
+    bits += [1 << j for j in range(n)]
+    bits += [0]
+    return BitMatrix(n + 2, n, tuple(bits))
+
+
+def outer_corners(n: int) -> BitMatrix:
+    """n x n matrix with ones exactly on {1, n} x {1, n} (1-based):
+    joins the outermost two intervals into one region."""
+    if n < 2:
+        raise ValueError("outer_corners needs n >= 2")
+    corner = 1 | (1 << (n - 1))
+    bits = [corner] + [0] * (n - 2) + [corner]
+    return BitMatrix(n, n, tuple(bits))
 
 
 def flank_link(n: int, k: int) -> BitMatrix:

@@ -25,7 +25,7 @@ from tanglekit.rewriting import encircle, normalize, to_forest
 from tanglekit.states import is_valid, random_state
 
 from conftest import STATE_WIDTHS
-from operator_spec import masked_transfer, unit_entry
+from operator_spec import inner_embed, masked_transfer, outer_corners, unit_entry
 
 
 def report(criterion, detail):
@@ -150,17 +150,17 @@ def test_c03_boolean_identities():
             assert s_out @ bm.single_diag(n + 2, k) @ s_out == bm.single_diag(n + 2, n + 3 - k)
             checks += 1
         # embedding and corner identities
-        e = bm.inner_embed(n)
-        f = bm.outer_corners(n + 2)
+        e = inner_embed(n)
+        f = outer_corners(n + 2)
         assert e.transpose() @ e == ident_n
         assert e.transpose() @ f == bm.zero(n, n + 2)
         assert f @ e == bm.zero(n + 2, n)
         checks += 3
         for k in range(2, n + 2):
-            assert bm.insert_map(n + 2, k + 1) @ e == bm.inner_embed(n + 2) @ bm.insert_map(n, k)
+            assert bm.insert_map(n + 2, k + 1) @ e == inner_embed(n + 2) @ bm.insert_map(n, k)
             checks += 1
             if n >= 3 and k <= n - 1:
-                assert bm.insert_map(n, k + 1).transpose() @ e == bm.inner_embed(n - 2) @ bm.insert_map(n - 2, k).transpose()
+                assert bm.insert_map(n, k + 1).transpose() @ e == inner_embed(n - 2) @ bm.insert_map(n - 2, k).transpose()
                 checks += 1
     # chessboard composition: equality except through a single column
     for l in range(1, 13):

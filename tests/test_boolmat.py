@@ -10,7 +10,9 @@ from tanglekit.boolmat import BitMatrix
 from operator_spec import (
     boolean_power,
     flank_link,
+    inner_embed,
     masked_transfer,
+    outer_corners,
     scalar_bit,
     transitive_closure,
     unit_column,
@@ -208,8 +210,8 @@ class TestBuilders:
         assert unit_entry(3, 1, 3).to_lines() == ["001", "000", "000"]
 
     def test_inner_embed_and_corners(self):
-        assert bm.inner_embed(1).to_lines() == ["0", "1", "0"]
-        assert bm.outer_corners(3).to_lines() == ["101", "000", "101"]
+        assert inner_embed(1).to_lines() == ["0", "1", "0"]
+        assert outer_corners(3).to_lines() == ["101", "000", "101"]
 
     def test_checkerboard(self):
         assert bm.checkerboard(3, 3).to_lines() == ["101", "010", "101"]
@@ -231,7 +233,7 @@ class TestBuilders:
         with pytest.raises(ValueError):
             bm.single_diag(3, 0)
         with pytest.raises(ValueError):
-            bm.outer_corners(1)
+            outer_corners(1)
 
     def test_masked_transfer_shape(self):
         x = masked_transfer(3, 2)

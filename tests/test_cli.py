@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from tanglekit.cli import main
+from tanglekit.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -66,6 +66,16 @@ def test_selftest_seeds_differ():
     a = run(["selftest", "--seed", "1", "--trials", "10"])
     b = run(["selftest", "--seed", "2", "--trials", "10"])
     assert a[0] == b[0] == 0  # same verdict, different sampled checks
+
+
+def test_one_parser_keeps_no_options_between_calls():
+    # Every main call parses with the same parser object, so an option
+    # given to one call must not carry over to the next.
+    assert build_parser() is build_parser()
+    word = CASES["normalize_trace"][-1]
+    code, traced, _ = run(["normalize", "--trace", word])
+    assert code == 0 and traced.count("\n") > 1
+    assert run(["normalize", word]) == (0, traced.splitlines(keepends=True)[-1], "")
 
 
 class TestExitCodes:

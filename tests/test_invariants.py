@@ -234,5 +234,5 @@ class TestEquivalent:
         assert circle_count(SIDE) == 2
 
     def test_circle_count_deep_nest(self):
-        depth = 400
-        assert circle_count(((-2, 0),) * depth + ((2, 0),) * depth) == depth
+        for depth in (400, 5000):
+            assert circle_count(((-2, 0),) * depth + ((2, 0),) * depth) == depth

@@ -69,6 +69,10 @@ def test_format_modules_stay_below_operators():
         assert not imported & {"operators", "states"}, module
 
 
+def test_operators_work_on_labels_not_matrices():
+    assert "boolmat" not in imported_package_modules(syntax_tree("operators"))
+
+
 def test_moved_names_still_resolve():
     assert tanglekit.Generator is operators.Generator is words.Generator
     assert tanglekit.forest_value is invariants.forest_value is rewriting.forest_value

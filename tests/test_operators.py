@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tanglekit import boolmat as bm
+from tanglekit import words
 from tanglekit.boolmat import BitMatrix
 from tanglekit.lomonoid import count_monoid, prime_monoid
 from tanglekit.operators import (
@@ -14,6 +15,7 @@ from tanglekit.operators import (
     cup,
     cup_value,
     encircle_state,
+    eval_closed,
     eval_steps,
     eval_word,
     mirror,
@@ -260,6 +262,35 @@ class TestEvalWord:
         assert [gen for gen, _ in steps] == list(reversed(word))
         assert [st.n for _, st in steps] == [3, 5, 3, 1]
         assert steps[-1][1] == eval_word(word, trivial(PRIME))
+
+
+class TestLabels:
+    def test_generator_orders_give_one_state(self):
+        # Far-apart caps commute; the two orders name the new regions
+        # with different labels but describe the same state.
+        for spec in (COUNT, PRIME):
+            st = cap(trivial(spec), 2)
+            left = cap(cap(st, 2), 6)
+            right = cap(cap(st, 4), 2)
+            assert left.labels != right.labels
+            assert left == right and hash(left) == hash(right)
+            assert len({left, right}) == 1
+
+    def test_eval_builds_no_matrix(self, monkeypatch):
+        built = []
+        plain_init = BitMatrix.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            plain_init(self, *args)
+
+        monkeypatch.setattr(BitMatrix, "__init__", counting_init)
+        depth = 500
+        word = words.decode(((-2, 0),) * depth + ((2, 0),) * depth)
+        assert eval_closed(word, COUNT) == depth
+        assert built == []
+        assert trivial(COUNT).region.rows == 1  # reading the property builds one
+        assert len(built) == 1
 
 
 class TestAgainstSpec:
