@@ -22,10 +22,11 @@ two adjacent symbols, so every leftmost-match scan resumes one place
 left of the last rewrite, and the validity condition is checked
 exactly on the two new symbols alone: no other symbol's pre/post sum
 can change (R1 deletes a pair of net sign zero, R2 and R4 keep signs,
-R3 swaps two adjacent signs).  The potential is updated by deltas and
-the trace is kept as compact records, replayed into RewriteSteps only
-when read.  A rewrite thus costs O(1) work; the word is rescanned from
-the start only after an R1 deletion.  Replaying a trace through
+R3 swaps two adjacent signs).  The potential is updated by deltas, so
+a rewrite costs O(1) work; the word is rescanned from the start only
+after an R1 deletion.  One generator runs the algorithm: normalize
+drains it and keeps only the start word and the rewrite count, and a
+trace reruns it when read.  Replaying a trace through
 words.apply_relation reproduces every step's word.
 
 Termination is watched two ways: a global rewrite cap (a resource
@@ -33,8 +34,9 @@ limit, CLI-configurable, raising ResourceLimitError), and the
 invariant that the sort potential strictly decreases between
 consecutive step-3 visits with no step-1 pass in between.
 
-Every choice here is deterministic (leftmost match everywhere) so the
-trace is stable enough for golden tests.
+Every choice here is deterministic (leftmost match everywhere), so a
+rerun gives the same trace and the trace is stable enough for golden
+tests.
 
 Forests are nested tuples: a tree is the tuple of its child trees, a
 forest is a tuple of trees.  The canonical form orders siblings by
@@ -50,7 +52,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .errors import InternalInvariantError, ResourceLimitError
 from .lomonoid import MonoidSpec, Value
@@ -109,38 +111,39 @@ class RewriteStep:
 
 
 class Trace(Sequence):
-    """The RewriteSteps of one normalize call, built only when read.
+    """The RewriteSteps of one normalize call, made only when read.
 
-    normalize records one compact (step, rule, forward, pos, replacement,
-    potential) tuple per rewrite; the steps, each holding the whole word,
-    are made by replaying those records on the input word.  Iterating
-    streams the steps without keeping them; the first index access
-    builds and keeps them all.  Equal to the list of the same steps.
+    A trace keeps the start word and the rewrite count alone.  Each
+    full read reruns the algorithm on the start word, and an index
+    streams the steps up to it, so no step is ever stored.  Equal to
+    the list of the same steps.
     """
 
-    __slots__ = ("_start", "_records", "_steps")
+    __slots__ = ("_start", "_len")
 
-    def __init__(self, start: SymWord, records: list):
+    def __init__(self, start: SymWord, length: int):
         self._start = start
-        self._records = records
-        self._steps: list[RewriteStep] | None = None
+        self._len = length
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._len
 
     def __iter__(self):
-        if self._steps is not None:
-            yield from self._steps
-            return
         word = list(self._start)
-        for step, rule, forward, pos, replacement, potential in self._records:
-            word[pos:pos + 2] = replacement
+        for step, rule, forward, pos, potential in _rewrites(word):
             yield RewriteStep(step, rule, forward, pos, tuple(word), potential)
 
     def __getitem__(self, index):
-        if self._steps is None:
-            self._steps = list(self)
-        return self._steps[index]
+        if isinstance(index, slice):
+            wanted = range(*index.indices(self._len))
+            upto = range(max(wanted, default=-1) + 1)
+            steps = [step for i, step in zip(upto, self) if i in wanted]
+            return steps if wanted.step > 0 else steps[::-1]
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("trace index out of range")
+        return next(islice(self, index, None))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, Trace)):
@@ -154,22 +157,36 @@ class Trace(Sequence):
 def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, Trace]:
     """Rewrite to a word of (+-2, 0) symbols; returns (word, trace).
 
-    Each rewrite costs O(1) work apart from the scans for the next
-    match, which resume next to the last rewrite; a full rescan happens
-    only after an R1 deletion, at most len(sym)/2 times.
+    Keeps nothing per rewrite: the trace holds the start word and the
+    count, and reruns the algorithm when read.  The rewrite after the
+    max_rewrites-th raises ResourceLimitError.
     """
     require_valid(sym)
     start = tuple(sym)
     word = list(start)
+    count = 0
+    for _ in _rewrites(word):
+        if count >= max_rewrites:
+            raise ResourceLimitError(f"rewrite watchdog tripped after {max_rewrites} rewrites")
+        count += 1
+    return tuple(word), Trace(start, count)
+
+
+def _rewrites(word: list):
+    """Run the five-step algorithm on a valid word, rewriting the list in
+    place, and yield (step, rule, forward, pos, potential) after each
+    rewrite.  Each rewrite costs O(1) work apart from the scans for the
+    next match, which resume next to the last rewrite; a full rescan
+    happens only after an R1 deletion, at most len(word)/2 times."""
     # pre[i] = sum of c over word[:i]; -pre[i] points lie below symbol i
     pre = list(accumulate((c for c, _ in word), initial=0))
     total = pre[-1]
     # rewrite_potential, kept up to date by deltas: (sum of the 1-based
     # positions of the (2,*) symbols, -sum of c*d/2)
     pos_sum, d_balance = rewrite_potential(word)
-    records: list = []
 
-    def rewrite(step: int, rule: str, forward: bool, i: int) -> None:
+    def rewrite(rule: str, forward: bool, i: int) -> tuple[int, int]:
+        """Rewrite the pair at i; returns the potential after it."""
         nonlocal pos_sum, d_balance
         a, b = word[i], word[i + 1]
         (ca, da), (cb, db) = a, b
@@ -196,32 +213,7 @@ def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, T
             del pre[i:i + 2]
             pos_sum -= i + 2 + 2 * caps_after
             d_balance += (ca * da + cb * db) // 2
-        if len(records) >= max_rewrites:
-            raise ResourceLimitError(f"rewrite watchdog tripped after {max_rewrites} rewrites")
-        records.append((step, rule, forward, i, new, (pos_sum, d_balance)))
-
-    def step1() -> None:
-        i = 0
-        while i < len(word) - 1:
-            (c1, d1), (c2, d2) = word[i], word[i + 1]
-            if c1 == 2 and c2 == -2:
-                if d1 <= d2:
-                    rewrite(1, "R3.2", True, i)
-                else:
-                    rewrite(1, "R3.1", False, i)
-                i = max(i - 1, 0)  # pairs left of i - 1 are untouched
-            else:
-                i += 1
-
-    def step2() -> None:
-        i = 0
-        while i < len(word) - 1:
-            (c1, d1), (c2, d2) = word[i], word[i + 1]
-            if c1 == c2 and d1 < d2:
-                rewrite(2, "R2" if c1 == 2 else "R4", True, i)
-                i = max(i - 1, 0)
-            else:
-                i += 1
+        return pos_sum, d_balance
 
     def find_r1(lo: int, hi: int) -> int | None:
         for i in range(lo, min(hi, len(word) - 1)):
@@ -230,45 +222,51 @@ def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, T
                 return i
         return None
 
-    step1()
-    step2()
-    last_e3 = (pos_sum, d_balance)
-    r1_lo, r1_hi = 0, len(word)  # step-3 search window
-    i4 = 0                       # step-4 scan resumes here
     while True:
-        i = find_r1(r1_lo, r1_hi)
-        if i is not None:
-            rewrite(3, "R1", True, i)
-            step1()
-            step2()
-            last_e3 = (pos_sum, d_balance)
-            r1_lo, r1_hi, i4 = 0, len(word), 0
-            continue
-        while i4 < len(word) - 1:
-            (c1, d1), (c2, d2) = word[i4], word[i4 + 1]
-            if c1 == -2 and c2 == 2 and d1 <= d2 - 4:
-                break
-            i4 += 1
-        else:
-            break
-        i = i4
-        rewrite(4, "R3.1", True, i)
-        here = (pos_sum, d_balance)
-        if here >= last_e3:
-            raise InternalInvariantError(
-                "sort potential failed to decrease between step-3 visits"
-            )
-        last_e3 = here
-        # No R1 existed before this rewrite and only the three pairs it
-        # touched changed, so step 3 need look at those alone.
-        r1_lo, r1_hi, i4 = max(i - 1, 0), i + 2, max(i - 1, 0)
-
-    for c, d in word:
-        if d != 0:
-            raise InternalInvariantError(
-                f"normalization left a nonzero symbol in {format_sym(word)}"
-            )
-    return tuple(word), Trace(start, records)
+        i = 0  # step 1
+        while i < len(word) - 1:
+            (c1, d1), (c2, d2) = word[i], word[i + 1]
+            if c1 == 2 and c2 == -2:
+                rule, forward = ("R3.2", True) if d1 <= d2 else ("R3.1", False)
+                yield 1, rule, forward, i, rewrite(rule, forward, i)
+                i = max(i - 1, 0)  # pairs left of i - 1 are untouched
+            else:
+                i += 1
+        i = 0  # step 2
+        while i < len(word) - 1:
+            (c1, d1), (c2, d2) = word[i], word[i + 1]
+            if c1 == c2 and d1 < d2:
+                rule = "R2" if c1 == 2 else "R4"
+                yield 2, rule, True, i, rewrite(rule, True, i)
+                i = max(i - 1, 0)
+            else:
+                i += 1
+        last_e3 = (pos_sum, d_balance)
+        r1_lo, r1_hi = 0, len(word)  # step-3 search window
+        i4 = 0                       # step-4 scan resumes here
+        while (i := find_r1(r1_lo, r1_hi)) is None:
+            while i4 < len(word) - 1:
+                (c1, d1), (c2, d2) = word[i4], word[i4 + 1]
+                if c1 == -2 and c2 == 2 and d1 <= d2 - 4:
+                    break
+                i4 += 1
+            else:  # step 5
+                if any(d for _, d in word):
+                    raise InternalInvariantError(
+                        f"normalization left a nonzero symbol in {format_sym(word)}"
+                    )
+                return
+            here = rewrite("R3.1", True, i4)
+            yield 4, "R3.1", True, i4, here
+            if here >= last_e3:
+                raise InternalInvariantError(
+                    "sort potential failed to decrease between step-3 visits"
+                )
+            last_e3 = here
+            # No R1 existed before this rewrite and only the three pairs it
+            # touched changed, so step 3 need look at those alone.
+            r1_lo, r1_hi, i4 = max(i4 - 1, 0), i4 + 2, max(i4 - 1, 0)
+        yield 3, "R1", True, i, rewrite("R1", True, i)  # step 3, then step 1 again
 
 
 # -- composition structure -------------------------------------------------

@@ -1,6 +1,7 @@
 """The normalization algorithm, potentials, factors, and forests."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -171,6 +172,41 @@ class TestTrace:
         assert trace[-1] == steps[-1]
         assert trace[1:3] == steps[1:3]
         assert list(trace) == steps  # iteration after indexing
+
+    @pytest.mark.parametrize(
+        "index",
+        [0, -1, "-len", slice(None, None, -1), slice(5, 2), slice(1, 9, 3), slice(-4, None, -2)],
+    )
+    def test_index_like_a_list(self, index):
+        _, trace = normalize(seeded_word(23, 20, 30))
+        steps = list(trace)
+        if index == "-len":
+            index = -len(steps)
+        assert trace[index] == steps[index]
+
+    def test_index_past_the_end(self):
+        _, trace = normalize(seeded_word(23, 20, 30))
+        with pytest.raises(IndexError):
+            trace[len(trace)]
+        with pytest.raises(IndexError):
+            trace[-len(trace) - 1]
+
+    def test_memory_stays_flat(self):
+        # nothing is kept per rewrite: neither normalize nor reading the
+        # last step holds more than the word and a few steps
+        sym = seeded_word(24, 90, 110)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _, trace = normalize(sym)
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            trace[-1]
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) > 5000
+        assert run_peak < 2**20 and read_peak < 2**20
 
     def test_equals_the_list_of_its_steps(self):
         _, trace = normalize(TRACED)
