@@ -24,7 +24,7 @@ import sys
 from . import boolmat, invariants, rewriting, oracle, states, words
 from .errors import InternalInvariantError, ResourceLimitError
 from .lomonoid import MonoidSpec, axiom_failures, count_monoid, prime_monoid
-from .operators import cap, cup, eval_steps, mirror
+from .operators import cap, cup, eval_steps, eval_word, mirror
 from .states import trivial
 from .words import format_sym, parse_word, to_gen_word, to_sym_word
 
@@ -99,9 +99,10 @@ def _cmd_eval(args) -> int:
     state = trivial(spec)
     if args.steps:
         print(f"start {state.summary()}")
-    for gen, state in eval_steps(gen_word, state):
-        if args.steps:
+        for gen, state in eval_steps(gen_word, state):
             print(f"{gen.text()} {state.summary()}")
+    else:
+        state = eval_word(gen_word, state)
     if args.show_state:
         print(state.dump())
     print(state.summary())

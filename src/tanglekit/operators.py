@@ -18,15 +18,18 @@ off and x = phi(value inside); otherwise two regions merge and
 x = meet of their values (their join is already present, and
 join (+) meet = (+) of both).
 
-The code edits the state's region labels (one per interval) with
-slices and `index` scans, so a generator of width w costs O(w) work
-done in C plus O(size of the merged region) Python steps, and
-relies on the input being a valid state.  With 0-based intervals: a
-cap splits interval k-2 into k-2, k-1 (a fresh label, the new region)
-and k (the label of k-2 again); a cup folds intervals k-2 and k into
-one and drops k-1.  If k-2 and k carry different labels, the two
-regions merge: the intervals labelled like k gain the label of k-2.
-Every interval of the merged region then holds the value join (+) x.
+Two private kernels edit a list of region labels (one per interval)
+and a list of values in place with slices and `index` scans, so a
+generator of width w costs O(w) work done in C plus O(size of the
+merged region) Python steps; they rely on the input being a valid
+state.  `eval_word` runs them on one pair of lists; the public `cap`
+and `cup` also pay a copy and a new TangleState.  With 0-based
+intervals: a cap splits interval k-2 into k-2, k-1 (a fresh label, the
+new region) and k (the label of k-2 again); a cup folds intervals k-2
+and k into one and drops k-1.  If k-2 and k carry different labels,
+the two regions merge: the intervals labelled like k gain the label of
+k-2.  Every interval of the merged region then holds the value
+join (+) x.
 
 A word of generators is evaluated right-to-left: the rightmost factor
 is the topmost piece of the diagram and is applied first.
@@ -39,45 +42,33 @@ from .states import TangleState, ends_connected, trivial
 from .words import Generator, width_profile
 
 
-def cap(state: TangleState, k: int) -> TangleState:
-    """Insert a new region at slot k: width n -> n+2."""
-    n = state.n
+def _cap_into(labels: list, values: list, k: int, fresh, zero: Value) -> None:
+    """Cap at slot k, in place; `fresh` labels the new region and no interval may carry it."""
+    n = len(labels)
     if not 2 <= k <= n + 1:
         raise ValueError(f"cap slot k={k} outside 2..{n + 1} for width {n}")
-    lab = state.labels
-    labels = lab[:k - 1] + (max(lab) + 1,) + lab[k - 2:]
-    v = state.values
-    values = v[:k - 1] + (state.spec.zero,) + v[k - 2:]
-    return TangleState(n + 2, labels, values, state.spec)
+    labels[k - 1:k - 1] = (fresh, labels[k - 2])
+    values[k - 1:k - 1] = (zero, values[k - 2])
 
 
-def cup_value(state: TangleState, k: int) -> Value:
-    """The value injected at a cup at slot k of this state."""
-    n = state.n
+def _cup_value(labels, values, k: int, spec: MonoidSpec) -> Value:
+    """The value injected at a cup at slot k of a state's labels and values."""
+    n = len(labels)
     if not (n >= 3 and 2 <= k <= n - 1):
         raise ValueError(f"cup slot k={k} outside 2..{n - 1} for width {n}")
-    v = state.values
-    if state.labels[k - 2] == state.labels[k]:  # flanking intervals share a region
-        return state.spec.phi(v[k - 1])
-    return state.spec.meet(v[k - 2], v[k])
+    if labels[k - 2] == labels[k]:  # flanking intervals share a region
+        return spec.phi(values[k - 1])
+    return spec.meet(values[k - 2], values[k])
 
 
-def cup(state: TangleState, k: int) -> TangleState:
-    """Close the region at slot k: width n+2 -> n."""
-    m_in = state.n
-    if m_in < 3:
-        raise ValueError(f"cup needs width >= 3, got {m_in}")
-    n = m_in - 2
-    if not 2 <= k <= n + 1:
-        raise ValueError(f"cup slot k={k} outside 2..{n + 1} for width {m_in}")
-    spec = state.spec
-    v = state.values
-    joined = spec.oplus(spec.join(v[k - 2], v[k]), cup_value(state, k))
-    lab = state.labels
-    a, b = lab[k - 2], lab[k]
-    labels = list(lab)
+def _cup_into(labels: list, values: list, k: int, spec: MonoidSpec) -> None:
+    """Cup at slot k on a state held as two lists, edited in place."""
+    if len(labels) < 3:
+        raise ValueError(f"cup needs width >= 3, got {len(labels)}")
+    x = _cup_value(labels, values, k, spec)  # checks the slot
+    joined = spec.oplus(spec.join(values[k - 2], values[k]), x)
+    a, b = labels[k - 2], labels[k]
     del labels[k - 1:k + 1]
-    values = list(v)
     del values[k - 1:k + 1]
     for old in {a, b}:  # the merged region: a's intervals and b's, relabelled a
         i = -1
@@ -88,7 +79,25 @@ def cup(state: TangleState, k: int) -> TangleState:
                 values[i] = joined
         except ValueError:  # no interval labelled old is left
             pass
-    return TangleState(n, tuple(labels), tuple(values), spec)
+
+
+def cap(state: TangleState, k: int) -> TangleState:
+    """Insert a new region at slot k: width n -> n+2."""
+    labels, values = list(state.labels), list(state.values)
+    _cap_into(labels, values, k, max(labels) + 1, state.spec.zero)
+    return TangleState(state.n + 2, tuple(labels), tuple(values), state.spec)
+
+
+def cup_value(state: TangleState, k: int) -> Value:
+    """The value injected at a cup at slot k of this state."""
+    return _cup_value(state.labels, state.values, k, state.spec)
+
+
+def cup(state: TangleState, k: int) -> TangleState:
+    """Close the region at slot k: width n+2 -> n."""
+    labels, values = list(state.labels), list(state.values)
+    _cup_into(labels, values, k, state.spec)
+    return TangleState(state.n - 2, tuple(labels), tuple(values), state.spec)
 
 
 def mirror(state: TangleState) -> TangleState:
@@ -141,11 +150,17 @@ def eval_steps(word, start: TangleState):
 
 
 def eval_word(word, start: TangleState) -> TangleState:
-    """The state after the whole word; start itself for the empty word."""
-    state = start
-    for _, state in eval_steps(word, start):
-        pass
-    return state
+    """The state after the whole word; one equal to start for the empty word."""
+    width_profile(word, start.n)
+    spec, fresh = start.spec, max(start.labels) + 1
+    labels, values = list(start.labels), list(start.values)
+    for gen in reversed(word):
+        if gen.kind == "cap":
+            _cap_into(labels, values, gen.k, fresh, spec.zero)
+            fresh += 1
+        else:
+            _cup_into(labels, values, gen.k, spec)
+    return TangleState(len(labels), tuple(labels), tuple(values), spec)
 
 
 def eval_closed(word, spec: MonoidSpec) -> Value:

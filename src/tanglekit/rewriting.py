@@ -111,12 +111,11 @@ class RewriteStep:
 
 
 class Trace(Sequence):
-    """The RewriteSteps of one normalize call, made only when read.
+    """The RewriteSteps of one normalize call, equal to their list.
 
-    A trace keeps the start word and the rewrite count alone.  Each
-    full read reruns the algorithm on the start word, and an index
-    streams the steps up to it, so no step is ever stored.  Equal to
-    the list of the same steps.
+    A trace keeps the start word and the rewrite count.  Each full read
+    reruns the algorithm once, an index streams the steps up to it, and
+    only a slice or `reversed` holds the steps it returns.
     """
 
     __slots__ = ("_start", "_len")
@@ -144,6 +143,16 @@ class Trace(Sequence):
         if not 0 <= index < self._len:
             raise IndexError("trace index out of range")
         return next(islice(self, index, None))
+
+    def __reversed__(self):
+        return iter(self[::-1])
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        lo, hi, _ = slice(start, stop).indices(self._len)
+        for i, step in islice(enumerate(self), lo, hi):
+            if step == value:
+                return i
+        raise ValueError(f"{value!r} is not in the trace")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, Trace)):

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from tanglekit import cli
 from tanglekit.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -150,6 +151,17 @@ class TestEvalErrors:
     def test_steps_report_position(self):
         code, _, err = run(["eval", "U(3,3)", "--monoid", "count", "--steps"])
         assert code == 1 and "position 1" in err
+
+
+class TestEvalPath:
+    def test_without_steps_runs_eval_word(self, monkeypatch):
+        # only --steps walks the word one state per generator
+        def walk(*_):
+            raise AssertionError("eval_steps ran without --steps")
+
+        monkeypatch.setattr(cli, "eval_steps", walk)
+        code, out, _ = run(["eval", "U(1,2);U(3,3);H(3,4);H(1,2)", "--monoid", "count"])
+        assert (code, out) == (0, "width 1 values (1)\n")
 
 
 class TestModuleEntryPoint:

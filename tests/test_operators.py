@@ -7,7 +7,7 @@ import pytest
 from tanglekit import boolmat as bm
 from tanglekit import words
 from tanglekit.boolmat import BitMatrix
-from tanglekit.lomonoid import count_monoid, prime_monoid
+from tanglekit.lomonoid import count_monoid, lattice_monoid, prime_monoid
 from tanglekit.operators import (
     Generator,
     add_value,
@@ -21,7 +21,14 @@ from tanglekit.operators import (
     mirror,
     shift,
 )
-from tanglekit.states import is_valid, random_state, trivial, validate
+from tanglekit.states import (
+    TangleState,
+    from_region,
+    is_valid,
+    random_state,
+    trivial,
+    validate,
+)
 
 from operator_spec import cap_spec, cup_spec
 
@@ -29,6 +36,20 @@ COUNT = count_monoid()
 PRIME = prime_monoid()
 
 CIRCLE_CAP_ROWS = [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
+
+
+def chain_monoid():
+    """The chain bot < mid < top with oplus = join and a phi that
+    steps up, so a sealed region reads differently from a merged one."""
+    elems = ("bot", "mid", "top")
+    rank = elems.index
+    join = {(a, b): max(a, b, key=rank) for a in elems for b in elems}
+    meet = {(a, b): min(a, b, key=rank) for a in elems for b in elems}
+    return lattice_monoid(elems, join, meet, minimum="bot", name="chain",
+                          phi=lambda a: elems[min(rank(a) + 1, 2)])
+
+
+CHAIN = chain_monoid()
 
 
 def circle_cap_state(spec, inner):
@@ -264,6 +285,62 @@ class TestEvalWord:
         assert steps[-1][1] == eval_word(word, trivial(PRIME))
 
 
+def random_open_word(rng, width, length):
+    """A composition-ordered word of `length` generators whose top
+    expects `width`; each step is a cap or, from width 3 up, a cup."""
+    gens = []
+    for _ in range(length):
+        if width >= 3 and rng.randrange(2):
+            width -= 2
+            gens.append(Generator("cup", width, rng.randrange(2, width + 2)))
+        else:
+            gens.append(Generator("cap", width, rng.randrange(2, width + 2)))
+            width += 2
+    return tuple(reversed(gens))
+
+
+def worn_state(rng, width, spec):
+    """A state of the width whose labels run past it: the regions of a
+    random count state after width + 5 cap-cup pairs at random slots,
+    each region holding zero with phi applied 0-2 times."""
+    st = random_state(width, rng, COUNT)
+    for _ in range(width + 5):
+        st = cup(cap(st, rng.randrange(2, st.n + 2)), rng.randrange(2, st.n + 2))
+    value = {label: spec.zero for label in st.labels}
+    for label in value:  # few phis: prime values stay far inside the table
+        for _ in range(rng.randrange(3)):
+            value[label] = spec.phi(value[label])
+    return TangleState(st.n, st.labels, tuple(map(value.get, st.labels)), spec)
+
+
+def fold_public(word, start):
+    state = start
+    for gen in reversed(word):
+        state = cap(state, gen.k) if gen.kind == "cap" else cup(state, gen.k)
+    return state
+
+
+class TestEvalWordAgainstSteps:
+    """eval_word runs the kernels on one pair of lists with its own
+    fresh-label counter; it must land on the state that the public
+    cap/cup reach one generator at a time."""
+
+    @pytest.mark.parametrize("spec", [COUNT, PRIME, CHAIN], ids=lambda spec: spec.name)
+    def test_random_starts_and_words(self, spec):
+        rng = random.Random(f"eval-word/{spec.name}")
+        past_width = 0
+        for trial in range(150):
+            st = worn_state(rng, rng.choice((1, 3, 5, 7, 9, 11)), spec)
+            start = (st, from_region(st.region, st.values, spec), encircle_state(st))[trial % 3]
+            past_width += max(start.labels) >= start.n
+            word = random_open_word(rng, start.n, rng.randrange(0, 13))
+            got = eval_word(word, start)
+            steps = list(eval_steps(word, start))
+            assert got == (steps[-1][1] if steps else start) == fold_public(word, start)
+            assert is_valid(got.region, got.values, spec)
+        assert past_width > 50  # many starts carry labels beyond their width
+
+
 class TestLabels:
     def test_generator_orders_give_one_state(self):
         # Far-apart caps commute; the two orders name the new regions
@@ -291,6 +368,20 @@ class TestLabels:
         assert built == []
         assert trivial(COUNT).region.rows == 1  # reading the property builds one
         assert len(built) == 1
+
+    def test_eval_builds_one_state(self, monkeypatch):
+        built = []
+        plain_init = TangleState.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            plain_init(self, *args)
+
+        monkeypatch.setattr(TangleState, "__init__", counting_init)
+        depth = 500
+        word = words.decode(((-2, 0),) * depth + ((2, 0),) * depth)
+        assert eval_closed(word, COUNT) == depth
+        assert len(built) == 2  # trivial() and the final state
 
 
 class TestAgainstSpec:

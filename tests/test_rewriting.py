@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from reference_rewriting import reference_forest_string, reference_normalize
-from tanglekit import words
+from tanglekit import rewriting, words
 from tanglekit.errors import InternalInvariantError, ResourceLimitError
 from tanglekit.oracle import canonical, trace_diagram
 from tanglekit.rewriting import (
@@ -207,6 +207,42 @@ class TestTrace:
             tracemalloc.stop()
         assert len(trace) > 5000
         assert run_peak < 2**20 and read_peak < 2**20
+
+    def test_reversed_and_index_rerun_once(self, monkeypatch):
+        # the Sequence defaults read trace[i] once per step, and each read
+        # reruns the algorithm: len(trace) runs where one will do
+        _, trace = normalize(seeded_word(23, 20, 30))
+        steps = list(trace)
+        assert len(steps) > 10
+        runs = []
+        plain = rewriting._rewrites
+
+        def counted(word):
+            runs.append(len(word))
+            return plain(word)
+
+        monkeypatch.setattr(rewriting, "_rewrites", counted)
+        last = trace[-1]
+        runs.clear()
+        assert list(reversed(trace)) == steps[::-1]
+        assert len(runs) == 1
+        runs.clear()
+        assert trace.index(last) == steps.index(last)
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("bounds", [(), (3,), (-5,), (2, 9), (0, -1), (-100, 100), (9, 2)])
+    def test_index_of_a_step_like_a_list(self, bounds):
+        _, trace = normalize(seeded_word(23, 20, 30))
+        steps = list(trace)
+
+        def found(seq, value):
+            try:
+                return seq.index(value, *bounds)
+            except ValueError:
+                return "missing"
+
+        for value in (steps[0], steps[4], steps[-1], "not a step"):
+            assert found(trace, value) == found(steps, value)
 
     def test_equals_the_list_of_its_steps(self):
         _, trace = normalize(TRACED)
