@@ -4,10 +4,10 @@ The rewriting algorithm turns any valid symbol word into a word of
 (-2,0) and (2,0) symbols only, i.e. a balanced-parentheses description
 of a nesting forest of circles:
 
-  step 1  move every (-2,*) left of every (2,*): rewrite the LEFTMOST
-          adjacent (2,a)(-2,b) pair, via R3.2 when a <= b and via
-          R3.1 backward when b <= a-2 (d's are even, so the two cases
-          are exhaustive and overlap nowhere);
+  step 1  move every (-2,*) left of every (2,*): swap the LEFTMOST
+          adjacent (2,a)(-2,b) pair forward (R3.2) when a <= b and
+          backward (R3.1') when b <= a-2 (d's are even, so the two
+          cases are exhaustive and overlap nowhere);
   step 2  sort each same-sign block to non-increasing d by rewriting
           the leftmost ascending adjacent pair with R2 / R4;
   step 3  delete the leftmost (-2,k)(2,k+2) pair (R1) and restart at
@@ -16,18 +16,20 @@ of a nesting forest of circles:
           R3.1 forward, then retry step 3;
   step 5  stop when no (-2,k)(2,l) pair with k <= l-2 remains.
 
-Rewrites happen in place on a list, with the replacement formulas
-words.apply_relation uses (words.rewrite_pair).  Each rewrite changes
-two adjacent symbols, so every leftmost-match scan resumes one place
-left of the last rewrite, and the validity condition is checked
-exactly on the two new symbols alone: no other symbol's pre/post sum
-can change (R1 deletes a pair of net sign zero, R2 and R4 keep signs,
-R3 swaps two adjacent signs).  The potential is updated by deltas, so
-a rewrite costs O(1) work; the word is rescanned from the start only
-after an R1 deletion.  One generator runs the algorithm: normalize
-drains it and keeps only the start word and the rewrite count, and a
-trace reruns it when read.  Replaying a trace through
-words.apply_relation reproduces every step's word.
+Rewrites happen in place on a list; every rule but R1 is words.swap,
+as in words.apply_relation.  Each rewrite changes two adjacent
+symbols, so every leftmost-match scan resumes one place left of the
+last rewrite, and the validity condition is checked exactly on the
+two new symbols alone: no other symbol's pre/post sum can change (R1
+deletes a pair of net sign zero, a swap keeps the pair's sign sum).
+The potential (pos_sum, d_balance) of rewrite_potential is updated by
+deltas, so a rewrite costs O(1) work: a swap of (c_a,*)(c_b,*) adds
+(c_a - c_b)/4 to pos_sum, and -c_a*c_b forward or +c_a*c_b backward
+to d_balance; an R1 deletion adds 2 to d_balance.  The word is
+rescanned from the start only after an R1 deletion.  One generator
+runs the algorithm: normalize drains it and keeps only the start word
+and the rewrite count, and a trace reruns it when read.  Replaying a
+trace through words.apply_relation reproduces every step's word.
 
 Termination is watched two ways: a global rewrite cap (a resource
 limit, CLI-configurable, raising ResourceLimitError), and the
@@ -56,7 +58,7 @@ from itertools import accumulate, islice
 
 from .errors import InternalInvariantError, ResourceLimitError
 from .lomonoid import MonoidSpec, Value
-from .words import SymWord, format_sym, out_of_bounds, require_valid, rewrite_pair
+from .words import SymWord, format_sym, out_of_bounds, require_valid, swap
 
 DEFAULT_MAX_REWRITES = 10**6
 
@@ -168,8 +170,11 @@ def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, T
 
     Keeps nothing per rewrite: the trace holds the start word and the
     count, and reruns the algorithm when read.  The rewrite after the
-    max_rewrites-th raises ResourceLimitError.
+    max_rewrites-th raises ResourceLimitError; a negative max_rewrites
+    is bad input and raises ValueError.
     """
+    if max_rewrites < 0:
+        raise ValueError(f"max_rewrites must be >= 0, got {max_rewrites}")
     require_valid(sym)
     start = tuple(sym)
     word = list(start)
@@ -195,33 +200,21 @@ def _rewrites(word: list):
     pos_sum, d_balance = rewrite_potential(word)
 
     def rewrite(rule: str, forward: bool, i: int) -> tuple[int, int]:
-        """Rewrite the pair at i; returns the potential after it."""
+        """Swap the pair at i; returns the potential after it."""
         nonlocal pos_sum, d_balance
         a, b = word[i], word[i + 1]
-        (ca, da), (cb, db) = a, b
-        new = rewrite_pair(rule, a, b, forward)
-        if new:
-            (na, ea), (nb, eb) = new
-            p = pre[i]
-            # Only these two symbols' pre/post sums can change, so the
-            # validity condition of the whole word reduces to theirs.
-            if out_of_bounds(na, ea, p, total) or out_of_bounds(nb, eb, p + na, total):
-                raise InternalInvariantError(f"rewrite {rule} broke the validity condition")
-            word[i] = new[0]
-            word[i + 1] = new[1]
-            pre[i + 1] = p + na
-            pos_sum += ((na - ca) * (i + 1) + (nb - cb) * (i + 2)) // 4
-            d_balance += (ca * da + cb * db - na * ea - nb * eb) // 2
-        else:
-            # R1 deletes a (-2,k)(2,k+2) pair of net sign zero: no other
-            # symbol's pre/post sum changes, and each (2,*) right of the
-            # pair moves two places left.  A prefix of m symbols with sum
-            # s holds (s + 2m)/4 of them, and pre[i + 2] == pre[i].
-            caps_after = (total + 2 * len(word) - pre[i] - 2 * (i + 2)) // 4
-            del word[i:i + 2]
-            del pre[i:i + 2]
-            pos_sum -= i + 2 + 2 * caps_after
-            d_balance += (ca * da + cb * db) // 2
+        new_a, new_b = swap(a, b, forward)
+        ca, cb = a[0], b[0]
+        p = pre[i]
+        # Only these two symbols' pre/post sums can change, so the
+        # validity condition of the whole word reduces to theirs.
+        if out_of_bounds(*new_a, p, total) or out_of_bounds(*new_b, p + cb, total):
+            raise InternalInvariantError(f"rewrite {rule} broke the validity condition")
+        word[i] = new_a
+        word[i + 1] = new_b
+        pre[i + 1] = p + cb
+        pos_sum += (ca - cb) // 4
+        d_balance += -ca * cb if forward else ca * cb
         return pos_sum, d_balance
 
     def find_r1(lo: int, hi: int) -> int | None:
@@ -275,7 +268,15 @@ def _rewrites(word: list):
             # No R1 existed before this rewrite and only the three pairs it
             # touched changed, so step 3 need look at those alone.
             r1_lo, r1_hi, i4 = max(i4 - 1, 0), i4 + 2, max(i4 - 1, 0)
-        yield 3, "R1", True, i, rewrite("R1", True, i)  # step 3, then step 1 again
+        # step 3: R1 deletes the (-2,k)(2,k+2) pair at i.  Each (2,*) right
+        # of it moves two places left, and d_balance loses k - (k+2).  A
+        # prefix of m symbols with sum s holds (s + 2m)/4 (2,*) symbols,
+        # and pre[i + 2] == pre[i].
+        pos_sum -= i + 2 + 2 * ((total + 2 * len(word) - pre[i] - 2 * (i + 2)) // 4)
+        d_balance += 2
+        del word[i:i + 2]
+        del pre[i:i + 2]
+        yield 3, "R1", True, i, (pos_sum, d_balance)  # then step 1 again
 
 
 # -- composition structure -------------------------------------------------

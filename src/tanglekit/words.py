@@ -33,6 +33,16 @@ Local rewrites (each an equality of diagrams, applied at a position):
     R3.2  (2,k)(-2,l)    <->  (-2,l+2)(2,k-2)   for k <= l
     R4    (-2,k)(-2,l)   <->  (-2,l-2)(-2,k-2)  for k <= l-2
 
+R2, R3.1, R3.2 and R4 are one relation, the exchange of two adjacent
+generators that do not overlap: swap((c_a,k), (c_b,l)) is
+(c_b, l+c_a)(c_a, k+c_b) forward, each d moving by the other symbol's
+sign, and (c_b, l-c_a)(c_a, k-c_b) backward, which undoes it.  A rule
+applies forward to its signs (c_a, c_b) when k <= l - 2 + (c_a - c_b)/2,
+and backward to a pair whose backward swap it applies to forward:
+
+    R2   ( 2, 2)  k <= l-2        R3.2 ( 2,-2)  k <= l
+    R3.1 (-2, 2)  k <= l-4        R4   (-2,-2)  k <= l-2
+
 Rewrites assert that validity is preserved, so a normalization trace is
 replayable step by step.
 """
@@ -199,7 +209,18 @@ def _r1_match(a: Symbol, b: Symbol) -> bool:
     return a[0] == -2 and b[0] == 2 and b[1] in (a[1] + 2, a[1] - 2)
 
 
-_RULES = ("R1", "R2", "R3.1", "R3.2", "R4")
+# The signs (c_a, c_b) of the pair each exchange rule rewrites forward.
+_SIGNS = {"R2": (2, 2), "R3.1": (-2, 2), "R3.2": (2, -2), "R4": (-2, -2)}
+_RULES = ("R1", *_SIGNS)
+
+
+def swap(a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, Symbol]:
+    """Exchange the adjacent symbols `a b`: each moves its d by the
+    other's sign, up when forward and down when backward."""
+    (ca, da), (cb, db) = a, b
+    if forward:
+        return (cb, db + ca), (ca, da + cb)
+    return (cb, db - ca), (ca, da - cb)
 
 
 def apply_relation(sym, rule: str, pos: int, forward: bool = True,
@@ -207,75 +228,52 @@ def apply_relation(sym, rule: str, pos: int, forward: bool = True,
     """Rewrite at `pos` (0-based index of the pair's left symbol).
 
     R1 backward inserts a deletable pair at `pos`; pass it as `insert`.
-    The rewritten word is checked against the validity condition.
+    The rewritten word is checked against the validity condition: an
+    invalid start word or insertion raises ValueError, and a rewrite
+    that breaks a valid word raises InternalInvariantError.
     """
     if rule not in _RULES:
         raise ValueError(f"unknown rule {rule!r}")
     sym = tuple(sym)
-
-    if rule == "R1" and not forward:
+    inserting = rule == "R1" and not forward
+    if inserting:
         if insert is None or not _r1_match(*insert):
             raise ValueError("R1 backward needs insert=( (-2,k), (2,k+-2) )")
         if not 0 <= pos <= len(sym):
             raise ValueError(f"insert position {pos} outside word")
         out = sym[:pos] + tuple(insert) + sym[pos:]
-        _assert_still_valid(out, rule)
-        return out
-
-    if not 0 <= pos < len(sym) - 1:
-        raise ValueError(f"position {pos} has no adjacent pair in word of length {len(sym)}")
-    out = sym[:pos] + rewrite_pair(rule, sym[pos], sym[pos + 1], forward) + sym[pos + 2:]
-    _assert_still_valid(out, rule)
+    else:
+        if not 0 <= pos < len(sym) - 1:
+            raise ValueError(f"position {pos} has no adjacent pair in word of length {len(sym)}")
+        out = sym[:pos] + rewrite_pair(rule, sym[pos], sym[pos + 1], forward) + sym[pos + 2:]
+    if check_validity(out) is not None:
+        # Checked only now, so a rewrite that succeeds costs one pass.
+        require_valid(sym)
+        if inserting:
+            raise ValueError(f"inserting {format_sym(insert)} breaks the validity condition")
+        raise InternalInvariantError(f"rewrite {rule} broke the validity condition")
     return out
 
 
 def rewrite_pair(rule: str, a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, ...]:
-    """What the adjacent pair `a b` becomes under a rule: the five
-    replacement formulas, shared by apply_relation and the in-place
-    rewriting of normalize.  R1 forward deletes the pair; raises
-    ValueError when the pair does not match the rule's pattern."""
+    """What the adjacent pair `a b` becomes under a rule: R1 forward
+    deletes it, and the exchange rules swap it.  Raises ValueError when
+    the pair does not match the rule's pattern, and for R1 backward,
+    an insertion that only apply_relation's `insert` can give."""
+    if rule not in _RULES:
+        raise ValueError(f"unknown rule {rule!r}")
     if rule == "R1":
+        if not forward:
+            raise ValueError("R1 backward inserts a pair: use apply_relation(..., insert=...)")
         if not _r1_match(a, b):
             raise ValueError(f"R1 does not match {a}{b}")
         return ()
-    if rule == "R2":
-        if forward:
-            if not (a[0] == 2 and b[0] == 2 and a[1] <= b[1] - 2):
-                raise ValueError(f"R2 forward does not match {a}{b}")
-            return ((2, b[1] + 2), (2, a[1] + 2))
-        if not (a[0] == 2 and b[0] == 2 and b[1] <= a[1] - 2):
-            raise ValueError(f"R2 backward does not match {a}{b}")
-        return ((2, b[1] - 2), (2, a[1] - 2))
-    if rule == "R3.1":
-        if forward:
-            if not (a[0] == -2 and b[0] == 2 and a[1] <= b[1] - 4):
-                raise ValueError(f"R3.1 forward does not match {a}{b}")
-            return ((2, b[1] - 2), (-2, a[1] + 2))
-        if not (a[0] == 2 and b[0] == -2 and b[1] <= a[1]):
-            raise ValueError(f"R3.1 backward does not match {a}{b}")
-        return ((-2, b[1] - 2), (2, a[1] + 2))
-    if rule == "R3.2":
-        if forward:
-            if not (a[0] == 2 and b[0] == -2 and a[1] <= b[1]):
-                raise ValueError(f"R3.2 forward does not match {a}{b}")
-            return ((-2, b[1] + 2), (2, a[1] - 2))
-        if not (a[0] == -2 and b[0] == 2 and b[1] <= a[1] - 4):
-            raise ValueError(f"R3.2 backward does not match {a}{b}")
-        return ((2, b[1] + 2), (-2, a[1] - 2))
-    if rule == "R4":
-        if forward:
-            if not (a[0] == -2 and b[0] == -2 and a[1] <= b[1] - 2):
-                raise ValueError(f"R4 forward does not match {a}{b}")
-            return ((-2, b[1] - 2), (-2, a[1] - 2))
-        if not (a[0] == -2 and b[0] == -2 and b[1] <= a[1] - 2):
-            raise ValueError(f"R4 backward does not match {a}{b}")
-        return ((-2, b[1] + 2), (-2, a[1] + 2))
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def _assert_still_valid(sym, rule: str) -> None:
-    if check_validity(sym) is not None:
-        raise InternalInvariantError(f"rewrite {rule} broke the validity condition")
+    new = swap(a, b, forward)
+    (ca, k), (cb, l) = (a, b) if forward else new
+    if (ca, cb) != _SIGNS[rule] or k > l - 2 + (ca - cb) // 2:
+        direction = "forward" if forward else "backward"
+        raise ValueError(f"{rule} {direction} does not match {a}{b}")
+    return new
 
 
 # -- text syntaxes -------------------------------------------------------

@@ -73,6 +73,16 @@ def test_operators_work_on_labels_not_matrices():
     assert "boolmat" not in imported_package_modules(syntax_tree("operators"))
 
 
+def test_only_words_spells_rewrite_formulas():
+    imported = {
+        alias.name
+        for node in ast.walk(syntax_tree("rewriting"))
+        if isinstance(node, ast.ImportFrom) and node.module == "words"
+        for alias in node.names
+    }
+    assert "swap" in imported and "rewrite_pair" not in imported
+
+
 def test_moved_names_still_resolve():
     assert tanglekit.Generator is operators.Generator is words.Generator
     assert tanglekit.forest_value is invariants.forest_value is rewriting.forest_value

@@ -121,6 +121,12 @@ class TestNormalize:
         with pytest.raises(ResourceLimitError, match=f"after {needed - 1} rewrites"):
             normalize(TRACED, max_rewrites=needed - 1)
 
+    def test_negative_cap_is_bad_input(self):
+        # a word needing rewrites and a word needing none alike
+        for sym in (HUMP, ((-2, 0), (2, 0))):
+            with pytest.raises(ValueError, match="^max_rewrites must be >= 0, got -1$"):
+                normalize(sym, max_rewrites=-1)
+
     def test_potential_recorded(self):
         _, trace = normalize(HUMP)
         assert trace[0].potential == rewrite_potential(CIRCLE)

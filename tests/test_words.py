@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from tanglekit.errors import ParseError
+from tanglekit import words
+from tanglekit.errors import InternalInvariantError, ParseError
 from tanglekit.operators import Generator
 from tanglekit.words import (
     apply_relation,
@@ -19,6 +20,8 @@ from tanglekit.words import (
     parse_sym,
     parse_word,
     random_word,
+    rewrite_pair,
+    swap,
     width_profile,
 )
 
@@ -190,6 +193,85 @@ class TestApplyRelation:
     def test_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown rule"):
             apply_relation(((-2, 0), (2, 0)), "R9", 0)
+
+    def test_invalidating_insertion_is_bad_input(self):
+        # (-2,0)(2,2)(-2,0)(2,0): the inserted cap sits where no cap fits
+        with pytest.raises(ValueError, match="^inserting .* breaks the validity condition$"):
+            apply_relation(((-2, 0), (2, 0)), "R1", 0, forward=False,
+                           insert=((-2, 0), (2, 2)))
+
+    def test_invalid_start_word_is_bad_input(self):
+        with pytest.raises(ValueError, match="violates the validity condition"):
+            apply_relation(((2, 0), (-2, 0)), "R3.2", 0)
+
+    def test_breaking_a_valid_word_is_internal(self, monkeypatch):
+        # a wrong rewrite formula, not the caller, breaks a valid word
+        monkeypatch.setattr(words, "rewrite_pair", lambda *args: ((2, 4), (2, 0)))
+        with pytest.raises(InternalInvariantError, match="^rewrite R2 broke the validity"):
+            apply_relation(((-2, 0), (-2, 0), (2, 0), (2, 0)), "R2", 2)
+
+
+# The rule list of the words docstring, one formula per rule and
+# direction: (signs of the pair a b, condition on their d's k l, result).
+SPELLED_OUT = {
+    ("R2", True): ((2, 2), lambda k, l: k <= l - 2, lambda k, l: ((2, l + 2), (2, k + 2))),
+    ("R2", False): ((2, 2), lambda k, l: l <= k - 2, lambda k, l: ((2, l - 2), (2, k - 2))),
+    ("R3.1", True): ((-2, 2), lambda k, l: k <= l - 4, lambda k, l: ((2, l - 2), (-2, k + 2))),
+    ("R3.1", False): ((2, -2), lambda k, l: l <= k, lambda k, l: ((-2, l - 2), (2, k + 2))),
+    ("R3.2", True): ((2, -2), lambda k, l: k <= l, lambda k, l: ((-2, l + 2), (2, k - 2))),
+    ("R3.2", False): ((-2, 2), lambda k, l: l <= k - 4, lambda k, l: ((2, l + 2), (-2, k - 2))),
+    ("R4", True): ((-2, -2), lambda k, l: k <= l - 2, lambda k, l: ((-2, l - 2), (-2, k - 2))),
+    ("R4", False): ((-2, -2), lambda k, l: l <= k - 2, lambda k, l: ((-2, l + 2), (-2, k + 2))),
+}
+
+# Every symbol with c in -4..4 and d in -9..9, signs and parities that
+# no valid word holds included.
+GRID = [(c, d) for c in (-4, -2, 0, 2, 4) for d in range(-9, 10)]
+
+
+def spelled_out_rewrite(rule, a, b, forward):
+    """What rewrite_pair must give: the pair it rewrites to, or the
+    message of the ValueError it raises."""
+    if rule == "R1":
+        if not forward:
+            return "R1 backward inserts a pair: use apply_relation(..., insert=...)"
+        if a[0] == -2 and b[0] == 2 and b[1] in (a[1] + 2, a[1] - 2):
+            return ()
+        return f"R1 does not match {a}{b}"
+    if (rule, forward) not in SPELLED_OUT:
+        return f"unknown rule {rule!r}"
+    signs, applies, result = SPELLED_OUT[rule, forward]
+    if (a[0], b[0]) == signs and applies(a[1], b[1]):
+        return result(a[1], b[1])
+    return f"{rule} {'forward' if forward else 'backward'} does not match {a}{b}"
+
+
+class TestRewritePair:
+    def test_matches_the_spelled_out_rules(self):
+        checked = 0
+        for rule in ("R1", "R2", "R3.1", "R3.2", "R4", "R9"):
+            for forward in (True, False):
+                for a in GRID:
+                    for b in GRID:
+                        want = spelled_out_rewrite(rule, a, b, forward)
+                        try:
+                            got = rewrite_pair(rule, a, b, forward)
+                        except ValueError as exc:
+                            got = str(exc)
+                        assert got == want, (rule, forward, a, b)
+                        checked += 1
+        assert checked == 108_300
+
+    def test_r1_backward_is_an_insertion(self):
+        # only apply_relation's insert= can say which pair to insert
+        with pytest.raises(ValueError, match="insert"):
+            rewrite_pair("R1", (-2, 0), (2, 2), forward=False)
+
+    def test_swap_backward_undoes_forward(self):
+        for a in GRID:
+            for b in GRID:
+                assert swap(*swap(a, b), forward=False) == (a, b)
+                assert swap(*swap(a, b, forward=False)) == (a, b)
 
 
 class TestParsing:
