@@ -71,8 +71,8 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_invariant(args) -> int:
     spec = _monoid(args.monoid)
-    gen_word = to_gen_word(parse_word(args.word))
-    op_report, rec_report, agree = invariants.invariant_reports(gen_word, spec)
+    _, word = parse_word(args.word)
+    op_report, rec_report, agree = invariants.invariant_reports(word, spec)
     print(f"{op_report.monoid} {op_report.method} {op_report.value}")
     print(f"{rec_report.monoid} {rec_report.method} {rec_report.value}")
     print("AGREE" if agree else "DISAGREE")
@@ -80,8 +80,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    word_a = to_gen_word(parse_word(args.word_a))
-    word_b = to_gen_word(parse_word(args.word_b))
+    _, word_a = parse_word(args.word_a)
+    _, word_b = parse_word(args.word_b)
     same, (ra, rb) = invariants.equivalent(word_a, word_b)
     print(f"{'EQUIVALENT' if same else 'DISTINCT'} {ra.value} {rb.value}")
     return EXIT_OK

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import words
 from .lomonoid import MonoidSpec, Value, count_monoid, prime_monoid
-from .operators import eval_closed
+from .operators import closed_values, eval_closed
 from .primes import nth_prime  # noqa: F401  (re-exported)
 from .rewriting import forest_value, normalize, to_forest
 
@@ -28,14 +28,7 @@ from .rewriting import forest_value, normalize, to_forest
 def word_value(word, spec: MonoidSpec) -> Value:
     """Invariant by full operator evaluation.  Accepts a generator word
     or a symbol word; the word must be closed."""
-    gen_word = _as_gen_word(word)
-    return eval_closed(gen_word, spec)
-
-
-def _as_gen_word(word):
-    if word and isinstance(word[0], tuple):
-        return words.decode(word)
-    return tuple(word)
+    return eval_closed(word, spec)
 
 
 @dataclass(frozen=True)
@@ -51,9 +44,8 @@ def invariant_reports(word, spec: MonoidSpec) -> tuple[InvariantReport, Invarian
     Disagreement would falsify the representation; it is reported (and
     mapped to exit code 2 by the CLI), never hidden.
     """
-    gen_word = _as_gen_word(word)
-    direct = eval_closed(gen_word, spec)
-    normal, _ = normalize(words.encode(gen_word))
+    direct = eval_closed(word, spec)
+    normal, _ = normalize(word if words.is_sym_word(word) else words.encode(word))
     recursive = forest_value(to_forest(normal), spec)
     agree = direct == recursive
     return (
@@ -67,10 +59,7 @@ def equivalent(word_a, word_b) -> tuple[bool, tuple[InvariantReport, InvariantRe
     """Decide isotopy equivalence of two closed words by comparing their
     prime invariants (a complete invariant for circle systems)."""
     spec = prime_monoid()
-    gen_a = _as_gen_word(word_a)
-    gen_b = _as_gen_word(word_b)
-    va = eval_closed(gen_a, spec)
-    vb = eval_closed(gen_b, spec)
+    va, vb = closed_values((word_a, word_b), spec)  # checks both words first
     report_a = InvariantReport(spec.name, str(va), "operator")
     report_b = InvariantReport(spec.name, str(vb), "operator")
     return va == vb, (report_a, report_b)

@@ -22,8 +22,14 @@ Two private kernels edit a list of region labels (one per interval)
 and a list of values in place with slices and `index` scans, so a
 generator of width w costs O(w) work done in C plus O(size of the
 merged region) Python steps; they rely on the input being a valid
-state.  `eval_word` runs them on one pair of lists; the public `cap`
-and `cup` also pay a copy and a new TangleState.  With 0-based
+state.  `eval_word` and `closed_values` (behind `eval_closed`) check
+the whole word first, list its generators as (is_cap, slot) pairs and
+run the kernels over them on one pair of lists, so a word adds O(1)
+Python steps per generator to the kernels' cost; the public `cap` and
+`cup` also pay a copy and a new TangleState.  A closed symbol word is
+checked by the validity condition and needs no Generator: at incoming
+width w, (2,d) is a cap at slot (d+w+3)/2 and (-2,d) a cup at slot
+(d+w+1)/2.  With 0-based
 intervals: a cap splits interval k-2 into k-2, k-1 (a fresh label, the
 new region) and k (the label of k-2 again); a cup folds intervals k-2
 and k into one and drops k-1.  If k-2 and k carry different labels,
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from .lomonoid import MonoidSpec, Value
 from .states import TangleState, ends_connected, trivial
-from .words import Generator, width_profile
+from .words import Generator, is_sym_word, require_valid, width_profile
 
 
 def _cap_into(labels: list, values: list, k: int, fresh, zero: Value) -> None:
@@ -149,24 +155,62 @@ def eval_steps(word, start: TangleState):
         yield gen, state
 
 
-def eval_word(word, start: TangleState) -> TangleState:
-    """The state after the whole word; one equal to start for the empty word."""
-    width_profile(word, start.n)
+def _slots(word, width: int) -> list[tuple[bool, int]]:
+    """Check a word against the incoming width, then list its generators
+    as (is_cap, slot) pairs in the order they act, rightmost first.  A
+    generator word is checked by width_profile; a symbol word, which is
+    closed, by the validity condition, and it must start at width 1."""
+    if not is_sym_word(word):
+        width_profile(word, width)
+        return [(gen.kind == "cap", gen.k) for gen in reversed(word)]
+    if width != 1:
+        raise ValueError(f"a symbol word starts at width 1, not {width}")
+    require_valid(word)
+    slots = []
+    for c, d in reversed(word):
+        if c == 2:
+            slots.append((True, (d + width + 3) // 2))
+        else:
+            slots.append((False, (d + width + 1) // 2))
+        width += c
+    return slots
+
+
+def _run(slots, start: TangleState) -> TangleState:
+    """The state after the checked (is_cap, slot) steps, run on one
+    label list and one value list copied from start."""
     spec, fresh = start.spec, max(start.labels) + 1
     labels, values = list(start.labels), list(start.values)
-    for gen in reversed(word):
-        if gen.kind == "cap":
-            _cap_into(labels, values, gen.k, fresh, spec.zero)
+    for is_cap, k in slots:
+        if is_cap:
+            _cap_into(labels, values, k, fresh, spec.zero)
             fresh += 1
         else:
-            _cup_into(labels, values, gen.k, spec)
+            _cup_into(labels, values, k, spec)
     return TangleState(len(labels), tuple(labels), tuple(values), spec)
+
+
+def eval_word(word, start: TangleState) -> TangleState:
+    """The state after the whole word; one equal to start for the empty word."""
+    return _run(_slots(word, start.n), start)
+
+
+def closed_values(word_list, spec: MonoidSpec) -> list[Value]:
+    """Evaluate closed words, generator or symbol form, on the trivial
+    state and return each one's value.  Every word is checked before
+    any is evaluated, so bad input wins over a resource limit."""
+    start = trivial(spec)
+    out = []
+    for slots in [_slots(word, 1) for word in word_list]:
+        final = _run(slots, start)
+        if final.n != 1:
+            raise ValueError(f"word is not closed: final width {final.n}")
+        out.append(final.values[0])
+    return out
 
 
 def eval_closed(word, spec: MonoidSpec) -> Value:
     """Evaluate a closed word on the trivial state and return the one
     value of the resulting width-1 state."""
-    final = eval_word(word, trivial(spec))
-    if final.n != 1:
-        raise ValueError(f"word is not closed: final width {final.n}")
-    return final.values[0]
+    (value,) = closed_values((word,), spec)
+    return value

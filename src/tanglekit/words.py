@@ -14,7 +14,10 @@ orientation; nothing else in the library makes sense without it.
 
 Encoding: cap(n,k) -> (2, 2k-n-3), cup(n,k) -> (-2, 2k-n-3); d counts
 strands left of the generator minus strands right of it.  The encoding
-is only defined for closed words, where it is bijective.
+is only defined for closed words, where it is bijective.  Its inverse,
+given the incoming width w = 1 + (sum of c over the symbols to the
+right): (2,d) is a cap at slot (d+w+3)/2 and (-2,d) a cup at slot
+(d+w+1)/2, the k that solves symbol() for n = w (cap) or n = w-2 (cup).
 
 Validity condition for a symbol word (c_1,d_1)...(c_m,d_m): for each i,
 with pre = sum of c_j over j < i and post = sum over j > i,
@@ -227,10 +230,11 @@ def apply_relation(sym, rule: str, pos: int, forward: bool = True,
                    insert: tuple[Symbol, Symbol] | None = None) -> SymWord:
     """Rewrite at `pos` (0-based index of the pair's left symbol).
 
-    R1 backward inserts a deletable pair at `pos`; pass it as `insert`.
-    The rewritten word is checked against the validity condition: an
-    invalid start word or insertion raises ValueError, and a rewrite
-    that breaks a valid word raises InternalInvariantError.
+    R1 backward inserts a deletable pair at `pos`; pass it as `insert`,
+    which every other rewrite refuses.  The rewritten word is checked
+    against the validity condition: an invalid start word or insertion
+    raises ValueError, and a rewrite that breaks a valid word raises
+    InternalInvariantError.
     """
     if rule not in _RULES:
         raise ValueError(f"unknown rule {rule!r}")
@@ -243,6 +247,9 @@ def apply_relation(sym, rule: str, pos: int, forward: bool = True,
             raise ValueError(f"insert position {pos} outside word")
         out = sym[:pos] + tuple(insert) + sym[pos:]
     else:
+        if insert is not None:
+            raise ValueError(f"insert= is only for R1 backward, not {rule} "
+                             f"{'forward' if forward else 'backward'}")
         if not 0 <= pos < len(sym) - 1:
             raise ValueError(f"position {pos} has no adjacent pair in word of length {len(sym)}")
         out = sym[:pos] + rewrite_pair(rule, sym[pos], sym[pos + 1], forward) + sym[pos + 2:]
@@ -390,6 +397,12 @@ def iter_closed_words(max_symbols: int):
 
     for length in range(0, max_symbols + 1, 2):
         yield from extend((), 0, length)
+
+
+def is_sym_word(word) -> bool:
+    """Whether a nonempty word is in symbol form; the empty word is
+    both, and reads as a generator word."""
+    return bool(word) and isinstance(word[0], tuple)
 
 
 def to_gen_word(parsed) -> GenWord:

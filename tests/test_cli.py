@@ -129,6 +129,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "LIMIT: prime index 2097152 exceeds the table limit 1000000\n"
 
+    def test_bad_second_word_wins_over_prime_limit(self):
+        code, out, err = run(["equiv", AROUND_21, "(2,0)"])
+        assert code == 1 and out == ""
+        assert err == "ERROR: symbol 1: (2,0) violates the validity condition\n"
+        code, out, err = run(["equiv", AROUND_21, "U(3,2);H(1,2)"])
+        assert code == 1 and out == ""
+        assert err == ("ERROR: arity mismatch at position 1: U(3,2) expects width 5, "
+                       "incoming width is 3\n")
+
     def test_depth_twelve_invariant_is_three(self):
         code, out, err = run(["invariant", nest(12)])
         assert code == 3 and out == ""

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tanglekit import primes, words
-from tanglekit.errors import ResourceLimitError
+from tanglekit.errors import ParseError, ResourceLimitError
 from tanglekit.invariants import (
     circle_count,
     equivalent,
@@ -16,6 +16,7 @@ from tanglekit.invariants import (
 )
 from tanglekit.lomonoid import count_monoid, prime_monoid
 from tanglekit.rewriting import encircle, normalize, to_forest
+from tanglekit.words import Generator
 
 COUNT = count_monoid()
 PRIME = prime_monoid()
@@ -228,6 +229,17 @@ class TestEquivalent:
         for _ in range(50):
             sym = words.random_word(rng, 8)
             assert equivalent(sym, sym)[0]
+
+    def test_bad_input_wins_over_resource_limit(self):
+        # Both words are checked before either is evaluated: the first
+        # alone would need the 2**21-th prime, past the table.
+        around_21 = ((-2, 0),) + CIRCLE * 21 + ((2, 0),)
+        with pytest.raises(ResourceLimitError):
+            equivalent(around_21, CIRCLE)
+        with pytest.raises(ParseError, match=r"^symbol 1: \(2,0\) violates the validity condition$"):
+            equivalent(around_21, ((2, 0),))
+        with pytest.raises(ParseError, match=r"^arity mismatch at position 1: U\(3,2\) expects"):
+            equivalent(around_21, (Generator("cup", 3, 2), Generator("cap", 1, 2)))
 
     def test_circle_count(self):
         assert circle_count(HUMP) == 1

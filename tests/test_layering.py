@@ -83,6 +83,18 @@ def test_only_words_spells_rewrite_formulas():
     assert "swap" in imported and "rewrite_pair" not in imported
 
 
+def test_invariants_never_decode():
+    # Symbol words go to the operators as they are; a decode here would
+    # bring back one Generator per symbol on every evaluation.
+    names = {
+        node.id if isinstance(node, ast.Name) else
+        node.attr if isinstance(node, ast.Attribute) else node.name
+        for node in ast.walk(syntax_tree("invariants"))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert "decode" not in names
+
+
 def test_moved_names_still_resolve():
     assert tanglekit.Generator is operators.Generator is words.Generator
     assert tanglekit.forest_value is invariants.forest_value is rewriting.forest_value

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from tanglekit import boolmat as bm
-from tanglekit import words
+from tanglekit import operators, words
+from tanglekit.invariants import circle_count, equivalent, word_value
 from tanglekit.boolmat import BitMatrix
 from tanglekit.lomonoid import count_monoid, lattice_monoid, prime_monoid
 from tanglekit.operators import (
@@ -276,6 +277,10 @@ class TestEvalWord:
         with pytest.raises(ValueError, match="arity mismatch at position 2"):
             eval_word(word, random_state(3, 0, COUNT))
 
+    def test_symbol_word_starts_at_width_one(self):
+        with pytest.raises(ValueError, match="^a symbol word starts at width 1, not 3$"):
+            eval_word(((-2, 0), (2, 0)), random_state(3, 0, COUNT))
+
     def test_steps_end_at_eval_word(self):
         word = (Generator("cup", 1, 2), Generator("cup", 3, 3), Generator("cap", 3, 4),
                 Generator("cap", 1, 2))
@@ -382,6 +387,53 @@ class TestLabels:
         word = words.decode(((-2, 0),) * depth + ((2, 0),) * depth)
         assert eval_closed(word, COUNT) == depth
         assert len(built) == 2  # trivial() and the final state
+
+
+class TestSymbolWords:
+    """A symbol word is evaluated from its (c, d) pairs, each cap or cup
+    at the slot its symbol fixes; it must reach the value of its decoded
+    generator word."""
+
+    def test_against_decoded_words(self, word_corpus):
+        # The slots are pinned as well as the values: a circle system
+        # and its mirror image have one value, so values cannot see a
+        # mirrored slot.
+        exhaustive, randoms = word_corpus
+        for sym in exhaustive + randoms:
+            gen_word = words.decode(sym)
+            slots = [(gen.kind == "cap", gen.k) for gen in reversed(gen_word)]
+            assert operators._slots(sym, 1) == slots, sym
+            for spec in (COUNT, PRIME):
+                decoded = eval_word(gen_word, trivial(spec)).values[0]
+                assert eval_closed(sym, spec) == decoded, (spec.name, sym)
+
+    def test_invariants_build_no_generator(self, monkeypatch):
+        rng = random.Random("no-generator")
+        cases = []
+        for _ in range(20):
+            a, b = words.random_word(rng, 8), words.random_word(rng, 8)
+            count, value_a, value_b = (
+                eval_closed(words.decode(word), spec)
+                for word, spec in ((a, COUNT), (a, PRIME), (b, PRIME))
+            )
+            cases.append((a, b, count, value_a, value_b))
+        built = []
+        plain_post_init = Generator.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            plain_post_init(self)
+
+        monkeypatch.setattr(Generator, "__post_init__", counting_post_init)
+        for a, b, count, value_a, value_b in cases:
+            assert circle_count(a) == count
+            assert word_value(a, PRIME) == value_a
+            same, reports = equivalent(a, b)
+            assert same == (value_a == value_b)
+            assert [r.value for r in reports] == [str(value_a), str(value_b)]
+        assert built == []
+        words.decode(((-2, 0), (2, 0)))  # the counter does see a decode
+        assert len(built) == 2
 
 
 class TestAgainstSpec:

@@ -186,6 +186,18 @@ class TestApplyRelation:
                     applied += 1
         assert applied > 200
 
+    def test_insert_only_for_r1_backward(self):
+        # Without forward=False an R1 "insertion" would delete a pair.
+        insert = ((-2, 0), (2, 2))
+        with pytest.raises(ValueError, match="^insert= is only for R1 backward, not R2 forward$"):
+            apply_relation(((-2, 0), (-2, 0), (-2, 0), (2, -2), (2, 0), (2, 0)), "R2", 3,
+                           insert=insert)
+        with pytest.raises(ValueError, match="^insert= is only for R1 backward, not R1 forward$"):
+            apply_relation(((-2, 0), (-2, 0), (2, 2), (2, 0)), "R1", 1, insert=insert)
+        with pytest.raises(ValueError, match="^insert= is only for R1 backward, not R4 backward$"):
+            apply_relation(((-2, 0), (-2, -2), (2, 0), (2, 0)), "R4", 0, forward=False,
+                           insert=insert)
+
     def test_pattern_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             apply_relation(((-2, 0), (2, 0)), "R2", 0)
