@@ -95,14 +95,14 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_eval(args) -> int:
     spec = _monoid(args.monoid)
-    gen_word = to_gen_word(parse_word(args.word))
+    parsed = parse_word(args.word)
     state = trivial(spec)
     if args.steps:
         print(f"start {state.summary()}")
-        for gen, state in eval_steps(gen_word, state):
+        for gen, state in eval_steps(to_gen_word(parsed), state):
             print(f"{gen.text()} {state.summary()}")
     else:
-        state = eval_word(gen_word, state)
+        state = eval_word(parsed[1], state)  # a symbol word is evaluated as it is
     if args.show_state:
         print(state.dump())
     print(state.summary())

@@ -11,6 +11,7 @@ import pytest
 
 from tanglekit import cli
 from tanglekit.cli import build_parser, main
+from tanglekit.words import Generator
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -171,6 +172,25 @@ class TestEvalPath:
         monkeypatch.setattr(cli, "eval_steps", walk)
         code, out, _ = run(["eval", "U(1,2);U(3,3);H(3,4);H(1,2)", "--monoid", "count"])
         assert (code, out) == (0, "width 1 values (1)\n")
+
+    def test_symbol_word_builds_no_generator(self, monkeypatch):
+        # without --steps a symbol word is evaluated as it is, not decoded
+        built = []
+        plain_post_init = Generator.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            plain_post_init(self)
+
+        monkeypatch.setattr(Generator, "__post_init__", counting_post_init)
+        code, _, _ = run(["eval", "(-2,0)(-2,0)(2,2)(2,0)", "--monoid", "count"])
+        assert code == 0 and built == []
+
+    def test_symbol_word_prints_its_generator_golden(self):
+        # the hump written as symbols answers as eval_hump_count's generator word
+        code, out, err = run(["eval", "(-2,0)(-2,0)(2,2)(2,0)", "--monoid", "count"])
+        golden = (GOLDEN / "eval_hump_count.txt").read_text()
+        assert f"exit: {code}\n--- stdout ---\n{out}--- stderr ---\n{err}" == golden.split("\n", 1)[1]
 
 
 class TestModuleEntryPoint:

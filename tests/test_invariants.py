@@ -1,6 +1,10 @@
 """Invariant values, both computation methods, and equivalence."""
 
 import random
+import sys
+import threading
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -59,8 +63,6 @@ class TestNthPrime:
             nth_prime(10**6 + 1)
 
     def test_concurrent_lookups_consistent(self):
-        import threading
-
         results = {}
 
         def worker(tag, lo, hi):
@@ -77,23 +79,62 @@ class TestNthPrime:
         assert results[0][-1] == nth_prime(2999)
 
 
+def independent_sieve(limit):
+    """The primes below limit, by the textbook sieve over every number."""
+    composite = bytearray(limit)
+    found = []
+    for p in range(2, limit):
+        if not composite[p]:
+            found.append(p)
+            for q in range(p * p, limit, p):
+                composite[q] = 1
+    return found
+
+
 class TestSieve:
     """The sieve from its seed table, each test on a fresh table."""
 
     @pytest.fixture(autouse=True)
     def fresh_table(self, monkeypatch):
-        monkeypatch.setattr(primes, "_primes", [2, 3, 5, 7, 11, 13])
+        monkeypatch.setattr(primes, "_primes", array("I", [2, 3, 5, 7, 11, 13]))
 
     def test_every_regrowth_against_independent_sieve(self):
-        limit = 230000  # past the 20000th prime, 224737
-        composite = bytearray(limit)
-        expected = []
-        for p in range(2, limit):
-            if not composite[p]:
-                expected.append(p)
-                for q in range(p * p, limit, p):
-                    composite[q] = 1
+        expected = independent_sieve(230000)  # past the 20000th prime, 224737
         assert [nth_prime(i) for i in range(1, 20001)] == expected[:20000]
+
+    def test_concurrent_regrowths_against_independent_sieve(self):
+        # Four readers race through every regrowth from the seed table; a
+        # thread switch at almost every bytecode gives each race a chance.
+        expected = independent_sieve(230000)[:20000]
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(tag):
+            start.wait(timeout=60)
+            results[tag] = [nth_prime(i) for i in range(1, 20001)]
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(result == expected for result in results)
+
+    def test_table_holds_four_bytes_a_prime(self):
+        tracemalloc.start()
+        try:
+            nth_prime(10**5)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current / len(primes._primes) <= 6
+        assert peak < 2 * 2**20
 
     def test_pinned(self):
         assert nth_prime(10**4) == 104729

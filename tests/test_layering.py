@@ -7,6 +7,7 @@ a real import cycle justifies an import inside a function.
 
 import ast
 import pathlib
+import sys
 
 import tanglekit
 from tanglekit import invariants, operators, rewriting, words
@@ -93,6 +94,27 @@ def test_invariants_never_decode():
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     }
     assert "decode" not in names
+
+
+def absolute_imports(tree):
+    """The module names a module imports by absolute name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+def test_imports_only_the_standard_library():
+    # pyproject.toml declares dependencies = []; numpy, say, may well be
+    # installed where the tests run, so only this keeps it out.
+    outside = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in absolute_imports(ast.parse(path.read_text()))
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
 
 
 def test_moved_names_still_resolve():
