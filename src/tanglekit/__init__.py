@@ -6,6 +6,12 @@ labels as the paper's Boolean region-connectivity matrix.
 The package normalizes words to nesting forests, computes complete
 prime-coded invariants, and cross-checks everything against an
 independent geometric sweep.
+
+`__all__` holds what callers use: parsing and the codec, `normalize`,
+`eval_word`, the invariants and `equivalent`, the sweep, the monoid
+constructors and the state building blocks.  Helpers that only the
+tests need (the paper's matrix formulas, the rule-by-rule rewrite
+reference, encirclement) live with the tests.
 """
 
 from .boolmat import BitMatrix
@@ -18,32 +24,12 @@ from .invariants import (
     nth_prime,
     word_value,
 )
-from .lomonoid import MonoidSpec, act, count_monoid, lattice_monoid, prime_monoid, scalar_act
-from .rewriting import (
-    Forest,
-    encircle,
-    factorize,
-    from_forest,
-    gap_potential,
-    normalize,
-    rewrite_potential,
-    to_forest,
-)
-from .operators import (
-    add_value,
-    cap,
-    cup,
-    cup_value,
-    encircle_state,
-    eval_word,
-    mirror,
-    shift,
-)
+from .lomonoid import MonoidSpec, act, count_monoid, lattice_monoid, prime_monoid
+from .rewriting import Forest, normalize, rewrite_potential, to_forest
+from .operators import add_value, cap, cup, eval_word, mirror
 from .oracle import canonical, completeness_report, enumerate_forests, trace_diagram
-from .states import TangleState, ends_connected, random_state, trivial, validate
-from .words import (
-    Generator, apply_relation, check_validity, decode, encode, format_sym, parse_word,
-)
+from .states import TangleState, random_state, trivial, validate
+from .words import Generator, check_validity, decode, encode, format_sym, parse_word
 
 __version__ = "0.1.0"
 
@@ -59,7 +45,6 @@ __all__ = [
     "TangleState",
     "act",
     "add_value",
-    "apply_relation",
     "canonical",
     "cap",
     "check_validity",
@@ -67,20 +52,13 @@ __all__ = [
     "completeness_report",
     "count_monoid",
     "cup",
-    "cup_value",
     "decode",
-    "encircle",
-    "encircle_state",
     "encode",
-    "ends_connected",
     "enumerate_forests",
     "equivalent",
     "eval_word",
-    "factorize",
     "forest_value",
     "format_sym",
-    "from_forest",
-    "gap_potential",
     "lattice_monoid",
     "mirror",
     "normalize",
@@ -89,8 +67,6 @@ __all__ = [
     "prime_monoid",
     "random_state",
     "rewrite_potential",
-    "scalar_act",
-    "shift",
     "to_forest",
     "trace_diagram",
     "trivial",

@@ -98,8 +98,9 @@ def _cmd_eval(args) -> int:
     parsed = parse_word(args.word)
     state = trivial(spec)
     if args.steps:
+        steps = eval_steps(to_gen_word(parsed), state)  # checks the word first
         print(f"start {state.summary()}")
-        for gen, state in eval_steps(to_gen_word(parsed), state):
+        for gen, state in steps:
             print(f"{gen.text()} {state.summary()}")
     else:
         state = eval_word(parsed[1], state)  # a symbol word is evaluated as it is
@@ -288,7 +289,7 @@ def _selftest_normalize(seed: int, trials: int) -> int:
     for _ in range(trials):
         sym = words.random_word(rng, max_pairs=8)
         normal, _ = rewriting.normalize(sym)
-        geometric = oracle.canonical(oracle.trace_diagram(words.decode(sym)))
+        geometric = oracle.canonical(oracle.trace_diagram(sym))
         rewritten = oracle.canonical(rewriting.to_forest(normal))
         assert geometric == rewritten, format_sym(sym)
         checks += 1

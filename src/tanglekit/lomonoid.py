@@ -12,6 +12,8 @@ Three ready-made instances:
     phi(n) = n-th prime; the induced invariant is complete.
   * lattice_monoid - any finite distributive lattice with minimum,
     with oplus = join; the constructor checks every axiom exhaustively.
+    It is the way to build a value domain of one's own, and two
+    lattices compare equal only when their elements and tables do.
 
 Values travel as plain Python objects in tuples ("value arrays"); a
 BitMatrix acts on a value array coordinatewise by joining the selected
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from . import primes
@@ -32,20 +34,36 @@ Value = Any
 ValueArray = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonoidSpec:
-    """Equality is by (name, zero): operation fields hold fresh lambdas
-    per construction, so comparing them would make independently built
-    instances of the same monoid unequal."""
+    """Equality is by (name, zero), and for a finite spec also by its
+    elements, in order, and the tables of oplus, join, meet and phi over
+    them.  The operation fields hold fresh lambdas per construction, so
+    comparing them would make independently built instances of the same
+    monoid unequal."""
 
     name: str
     zero: Value
-    oplus: Callable[[Value, Value], Value] = field(compare=False)
-    join: Callable[[Value, Value], Value] = field(compare=False)
-    meet: Callable[[Value, Value], Value] = field(compare=False)
-    phi: Callable[[Value], Value] = field(compare=False)
-    sample: Callable[[random.Random], Value] = field(compare=False)
-    elements: tuple | None = field(default=None, compare=False)
+    oplus: Callable[[Value, Value], Value]
+    join: Callable[[Value, Value], Value]
+    meet: Callable[[Value, Value], Value]
+    phi: Callable[[Value], Value]
+    sample: Callable[[random.Random], Value]
+    elements: tuple | None = None
+
+    def _key(self) -> tuple:
+        if self.elements is None:
+            return (self.name, self.zero)
+        pairs = [(a, b) for a in self.elements for b in self.elements]
+        tables = [op(a, b) for op in (self.oplus, self.join, self.meet) for a, b in pairs]
+        tables += map(self.phi, self.elements)
+        return (self.name, self.zero, self.elements, tuple(tables))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MonoidSpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def leq(self, a: Value, b: Value) -> bool:
         return self.join(a, b) == b
@@ -54,13 +72,6 @@ class MonoidSpec:
         """Test-only variant with a different region-closure function;
         renamed so it never compares equal to the original."""
         return replace(self, name=f"{self.name}+phi", phi=phi)
-
-
-def scalar_act(bit: int, m: Value, spec: MonoidSpec) -> Value:
-    """Action of a Boolean scalar: keep the value on 1, zero it on 0."""
-    if bit not in (0, 1):
-        raise ValueError(f"scalar {bit!r} is not a bit")
-    return m if bit else spec.zero
 
 
 def act(matrix: BitMatrix, values: Sequence[Value], spec: MonoidSpec) -> ValueArray:

@@ -22,20 +22,22 @@ Two private kernels edit a list of region labels (one per interval)
 and a list of values in place with slices and `index` scans, so a
 generator of width w costs O(w) work done in C plus O(size of the
 merged region) Python steps; they rely on the input being a valid
-state.  `eval_word` and `closed_values` (behind `eval_closed`) check
-the whole word first, list its generators as (is_cap, slot) pairs and
-run the kernels over them on one pair of lists, so a word adds O(1)
-Python steps per generator to the kernels' cost; the public `cap` and
+state.  The cup kernel reads x off the labels: the flanking intervals
+share a region exactly when they carry one label.  `eval_word` and
+`closed_values` (behind `eval_closed`) check the whole word first,
+list its generators as (is_cap, slot) pairs and run the kernels over
+them on one pair of lists, so a word adds O(1) Python steps per
+generator to the kernels' cost; `closed_values` checks every word,
+closedness included, before it evaluates any.  The public `cap` and
 `cup` also pay a copy and a new TangleState.  A closed symbol word is
 checked by the validity condition and needs no Generator: at incoming
 width w, (2,d) is a cap at slot (d+w+3)/2 and (-2,d) a cup at slot
-(d+w+1)/2.  With 0-based
-intervals: a cap splits interval k-2 into k-2, k-1 (a fresh label, the
-new region) and k (the label of k-2 again); a cup folds intervals k-2
-and k into one and drops k-1.  If k-2 and k carry different labels,
-the two regions merge: the intervals labelled like k gain the label of
-k-2.  Every interval of the merged region then holds the value
-join (+) x.
+(d+w+1)/2.  With 0-based intervals: a cap splits interval k-2 into
+k-2, k-1 (a fresh label, the new region) and k (the label of k-2
+again); a cup folds intervals k-2 and k into one and drops k-1.  If
+k-2 and k carry different labels, the two regions merge: the intervals
+labelled like k gain the label of k-2.  Every interval of the merged
+region then holds the value join (+) x.
 
 A word of generators is evaluated right-to-left: the rightmost factor
 is the topmost piece of the diagram and is applied first.
@@ -44,8 +46,9 @@ is the topmost piece of the diagram and is applied first.
 from __future__ import annotations
 
 from .lomonoid import MonoidSpec, Value
-from .states import TangleState, ends_connected, trivial
-from .words import Generator, is_sym_word, require_valid, width_profile
+from .states import TangleState, trivial
+from .words import Generator  # noqa: F401  (re-exported)
+from .words import is_sym_word, require_valid, width_profile
 
 
 def _cap_into(labels: list, values: list, k: int, fresh, zero: Value) -> None:
@@ -57,21 +60,17 @@ def _cap_into(labels: list, values: list, k: int, fresh, zero: Value) -> None:
     values[k - 1:k - 1] = (zero, values[k - 2])
 
 
-def _cup_value(labels, values, k: int, spec: MonoidSpec) -> Value:
-    """The value injected at a cup at slot k of a state's labels and values."""
-    n = len(labels)
-    if not (n >= 3 and 2 <= k <= n - 1):
-        raise ValueError(f"cup slot k={k} outside 2..{n - 1} for width {n}")
-    if labels[k - 2] == labels[k]:  # flanking intervals share a region
-        return spec.phi(values[k - 1])
-    return spec.meet(values[k - 2], values[k])
-
-
 def _cup_into(labels: list, values: list, k: int, spec: MonoidSpec) -> None:
     """Cup at slot k on a state held as two lists, edited in place."""
-    if len(labels) < 3:
-        raise ValueError(f"cup needs width >= 3, got {len(labels)}")
-    x = _cup_value(labels, values, k, spec)  # checks the slot
+    n = len(labels)
+    if n < 3:
+        raise ValueError(f"cup needs width >= 3, got {n}")
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"cup slot k={k} outside 2..{n - 1} for width {n}")
+    if labels[k - 2] == labels[k]:  # flanking intervals share a region
+        x = spec.phi(values[k - 1])
+    else:
+        x = spec.meet(values[k - 2], values[k])
     joined = spec.oplus(spec.join(values[k - 2], values[k]), x)
     a, b = labels[k - 2], labels[k]
     del labels[k - 1:k + 1]
@@ -92,11 +91,6 @@ def cap(state: TangleState, k: int) -> TangleState:
     labels, values = list(state.labels), list(state.values)
     _cap_into(labels, values, k, max(labels) + 1, state.spec.zero)
     return TangleState(state.n + 2, tuple(labels), tuple(values), state.spec)
-
-
-def cup_value(state: TangleState, k: int) -> Value:
-    """The value injected at a cup at slot k of this state."""
-    return _cup_value(state.labels, state.values, k, state.spec)
 
 
 def cup(state: TangleState, k: int) -> TangleState:
@@ -123,36 +117,20 @@ def add_value(state: TangleState, m: Value) -> TangleState:
     return TangleState(state.n, state.labels, values, state.spec)
 
 
-def encircle_state(state: TangleState) -> TangleState:
-    """Surround the whole picture with one new curve: width n -> n+2.
-
-    Requires the first and last intervals to share a region (true for
-    everything reachable from trivial()); preserves that property.
-    """
-    if not ends_connected(state):
-        raise ValueError("encircle_state needs the outer intervals connected")
-    outer = (max(state.labels) + 1,)
-    zero = (state.spec.zero,)
-    return TangleState(
-        state.n + 2, outer + state.labels + outer, zero + state.values + zero, state.spec
-    )
-
-
-def shift(gen: Generator) -> Generator:
-    """Reindex a generator for evaluation inside one extra circle:
-    (kind, n, k) -> (kind, n+2, k+1).  Its symbol code is unchanged."""
-    return Generator(gen.kind, gen.n + 2, gen.k + 1)
-
-
 def eval_steps(word, start: TangleState):
-    """Yield (generator, state after it) along a composition-ordered
-    word (leftmost = bottom of diagram), rightmost generator first.
-    The arities are checked against start's width before any step."""
+    """An iterator of (generator, state after it) along a composition-
+    ordered word (leftmost = bottom of diagram), rightmost generator
+    first.  The arities are checked against start's width on the call,
+    so a bad word raises before any step is read."""
     width_profile(word, start.n)
-    state = start
-    for gen in reversed(word):
-        state = cap(state, gen.k) if gen.kind == "cap" else cup(state, gen.k)
-        yield gen, state
+
+    def steps():
+        state = start
+        for gen in reversed(word):
+            state = cap(state, gen.k) if gen.kind == "cap" else cup(state, gen.k)
+            yield gen, state
+
+    return steps()
 
 
 def _slots(word, width: int) -> list[tuple[bool, int]]:
@@ -199,14 +177,15 @@ def closed_values(word_list, spec: MonoidSpec) -> list[Value]:
     """Evaluate closed words, generator or symbol form, on the trivial
     state and return each one's value.  Every word is checked before
     any is evaluated, so bad input wins over a resource limit."""
+    checked = []
+    for word in word_list:
+        checked.append(_slots(word, 1))
+        # A symbol word is closed by the validity condition; a generator
+        # word that passed the arity check ends at its leftmost factor.
+        if word and not is_sym_word(word) and word[0].out_width != 1:
+            raise ValueError(f"word is not closed: final width {word[0].out_width}")
     start = trivial(spec)
-    out = []
-    for slots in [_slots(word, 1) for word in word_list]:
-        final = _run(slots, start)
-        if final.n != 1:
-            raise ValueError(f"word is not closed: final width {final.n}")
-        out.append(final.values[0])
-    return out
+    return [_run(slots, start).values[0] for slots in checked]
 
 
 def eval_closed(word, spec: MonoidSpec) -> Value:

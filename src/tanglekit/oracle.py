@@ -23,7 +23,7 @@ from .rewriting import (
     forest_value,
     to_forest,
 )
-from .words import width_profile
+from .words import decode, is_sym_word, width_profile
 
 canonical = forest_string
 
@@ -51,7 +51,8 @@ class _UnionFind:
 
 
 def trace_diagram(word) -> Forest:
-    """Sweep a closed generator word into its nesting forest.
+    """Sweep a closed word into its nesting forest.  A symbol word is
+    decoded first, so an invalid one raises ParseError.
 
     Two passes.  The sweep itself records, for each curve closure, a
     snapshot of the strand ids strictly left of the closing point; the
@@ -64,6 +65,8 @@ def trace_diagram(word) -> Forest:
     two arcs straddling the point may later merge into one curve whose
     crossings pair up.
     """
+    if is_sym_word(word):
+        word = decode(word)
     profile = width_profile(word)
     if profile[0] != 1 or profile[-1] != 1:
         raise ValueError("trace_diagram needs a closed word")
@@ -157,13 +160,6 @@ def _dyck_words(pairs: int):
             word.pop()
 
     yield from build(pairs, 0)
-
-
-def dyck_corpus(max_pairs: int):
-    """All balanced words with at most max_pairs pairs (the exhaustive
-    word corpus used by the acceptance suites)."""
-    for n in range(max_pairs + 1):
-        yield from _dyck_words(n)
 
 
 @dataclass(frozen=True)

@@ -16,20 +16,21 @@ of a nesting forest of circles:
           R3.1 forward, then retry step 3;
   step 5  stop when no (-2,k)(2,l) pair with k <= l-2 remains.
 
-Rewrites happen in place on a list; every rule but R1 is words.swap,
-as in words.apply_relation.  Each rewrite changes two adjacent
-symbols, so every leftmost-match scan resumes one place left of the
-last rewrite, and the validity condition is checked exactly on the
-two new symbols alone: no other symbol's pre/post sum can change (R1
-deletes a pair of net sign zero, a swap keeps the pair's sign sum).
+Rewrites happen in place on a list; every rule but R1 is words.swap.
+Each rewrite changes two adjacent symbols, so every leftmost-match scan
+resumes one place left of the last rewrite, and the validity condition
+is checked exactly on the two new symbols alone: no other symbol's
+pre/post sum can change (R1 deletes a pair of net sign zero, a swap
+keeps the pair's sign sum).
 The potential (pos_sum, d_balance) of rewrite_potential is updated by
 deltas, so a rewrite costs O(1) work: a swap of (c_a,*)(c_b,*) adds
 (c_a - c_b)/4 to pos_sum, and -c_a*c_b forward or +c_a*c_b backward
 to d_balance; an R1 deletion adds 2 to d_balance.  The word is
 rescanned from the start only after an R1 deletion.  One generator
 runs the algorithm: normalize drains it and keeps only the start word
-and the rewrite count, and a trace reruns it when read.  Replaying a
-trace through words.apply_relation reproduces every step's word.
+and the rewrite count, and a trace reruns it when read.  Each step
+carries the word after its rewrite, so a trace replays rule by rule:
+tests/reference_rewriting.py does so with each rule written out.
 
 Termination is watched two ways: a global rewrite cap (a resource
 limit, CLI-configurable, raising ResourceLimitError), and the
@@ -45,8 +46,8 @@ forest is a tuple of trees.  The canonical form orders siblings by
 their parenthesis strings, shorter first then lexicographic; it is
 chosen independently of the numeric invariants so the two can
 cross-check each other.  `fold` is the one forest walker: iterative,
-so any depth of nesting works.  forest_string, canonicalize,
-forest_size and the structural invariant forest_value are folds.
+so any depth of nesting works.  forest_string, canonicalize and the
+structural invariant forest_value are folds.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ Tree = tuple
 Forest = tuple
 
 
-# -- potentials ----------------------------------------------------------
+# -- potential -----------------------------------------------------------
 
 def rewrite_potential(sym) -> tuple[int, int]:
     """Lexicographic termination measure: (sum of 1-based positions of
@@ -80,20 +81,6 @@ def rewrite_potential(sym) -> tuple[int, int]:
         else:
             d_balance += d
     return (pos_sum, d_balance)
-
-
-def gap_potential(sym) -> float:
-    """Largest d-growth between consecutive same-sign symbols, adjusted
-    for how far apart they sit; non-positive exactly when each sign
-    class is 'sorted enough'.  -inf when neither class has two symbols."""
-    best = float("-inf")
-    for sign in (2, -2):
-        idx = [i for i, (c, _) in enumerate(sym) if c == sign]
-        for a, b in zip(idx, idx[1:]):
-            gap = sym[b][1] - sym[a][1] - 2 * (b - a - 1)
-            if gap > best:
-                best = gap
-    return best
 
 
 # -- the algorithm --------------------------------------------------------
@@ -279,32 +266,6 @@ def _rewrites(word: list):
         yield 3, "R1", True, i, (pos_sum, d_balance)  # then step 1 again
 
 
-# -- composition structure -------------------------------------------------
-
-def factorize(sym) -> list[SymWord]:
-    """Maximal split of a normal word into indivisible factors: cut
-    wherever the running symbol sum returns to zero."""
-    require_valid(sym)
-    if any(d != 0 for _, d in sym):
-        raise ValueError("factorize needs a normal word of (+-2,0) symbols")
-    out = []
-    run = 0
-    start = 0
-    for i, (c, _) in enumerate(sym):
-        run += c
-        if run == 0:
-            out.append(tuple(sym[start:i + 1]))
-            start = i + 1
-    return out
-
-
-def encircle(sym) -> SymWord:
-    """Surround the system with one new circle: prepend (-2,0), append
-    (2,0).  Works on any valid word, normal or not."""
-    require_valid(sym)
-    return ((-2, 0),) + tuple(sym) + ((2, 0),)
-
-
 # -- forests ----------------------------------------------------------------
 
 def to_forest(sym) -> Forest:
@@ -364,16 +325,6 @@ def forest_string(forest: Forest) -> str:
 def canonicalize(forest: Forest) -> Forest:
     """Reorder all siblings into canonical order."""
     return fold(forest, _sort_siblings, _parenthesize)[1]
-
-
-def from_forest(forest: Forest) -> SymWord:
-    """Normal word of a forest, children emitted in canonical order:
-    the canonical string read as (-2,0) for '(' and (2,0) for ')'."""
-    return tuple((-2, 0) if ch == "(" else (2, 0) for ch in forest_string(forest))
-
-
-def forest_size(forest: Forest) -> int:
-    return fold(forest, sum, lambda size: size + 1)
 
 
 def forest_value(forest: Forest, spec: MonoidSpec) -> Value:

@@ -193,24 +193,9 @@ def from_region(region: BitMatrix, values, spec: MonoidSpec) -> TangleState:
     return TangleState(region.rows, labels, tuple(values), spec)
 
 
-def is_valid(region: BitMatrix, values, spec: MonoidSpec) -> bool:
-    return (
-        region.is_square()
-        and region.rows == len(values)
-        and not _property_failures(region, tuple(values), spec)
-    )
-
-
 def trivial(spec: MonoidSpec) -> TangleState:
     """The width-1 state: one region holding the zero value."""
     return TangleState(1, (0,), (spec.zero,), spec)
-
-
-def ends_connected(state: TangleState) -> bool:
-    """True iff the first and last intervals share a region.  Every
-    state reached from trivial() by cap/cup has this (the outer region
-    wraps around); width-even states never do, by parity."""
-    return state.labels[0] == state.labels[-1]
 
 
 def random_state(width: int, seed, spec: MonoidSpec) -> TangleState:

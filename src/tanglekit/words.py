@@ -46,8 +46,9 @@ and backward to a pair whose backward swap it applies to forward:
     R2   ( 2, 2)  k <= l-2        R3.2 ( 2,-2)  k <= l
     R3.1 (-2, 2)  k <= l-4        R4   (-2,-2)  k <= l-2
 
-Rewrites assert that validity is preserved, so a normalization trace is
-replayable step by step.
+`swap` is the one rewrite formula here: rewriting.normalize applies it
+and checks that each rewrite keeps the word valid, and
+tests/reference_rewriting.py matches each rule's pattern from the table.
 """
 
 from __future__ import annotations
@@ -208,15 +209,6 @@ def decode(sym) -> GenWord:
 
 # -- local rewrites ------------------------------------------------------
 
-def _r1_match(a: Symbol, b: Symbol) -> bool:
-    return a[0] == -2 and b[0] == 2 and b[1] in (a[1] + 2, a[1] - 2)
-
-
-# The signs (c_a, c_b) of the pair each exchange rule rewrites forward.
-_SIGNS = {"R2": (2, 2), "R3.1": (-2, 2), "R3.2": (2, -2), "R4": (-2, -2)}
-_RULES = ("R1", *_SIGNS)
-
-
 def swap(a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, Symbol]:
     """Exchange the adjacent symbols `a b`: each moves its d by the
     other's sign, up when forward and down when backward."""
@@ -224,63 +216,6 @@ def swap(a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, Symbol]:
     if forward:
         return (cb, db + ca), (ca, da + cb)
     return (cb, db - ca), (ca, da - cb)
-
-
-def apply_relation(sym, rule: str, pos: int, forward: bool = True,
-                   insert: tuple[Symbol, Symbol] | None = None) -> SymWord:
-    """Rewrite at `pos` (0-based index of the pair's left symbol).
-
-    R1 backward inserts a deletable pair at `pos`; pass it as `insert`,
-    which every other rewrite refuses.  The rewritten word is checked
-    against the validity condition: an invalid start word or insertion
-    raises ValueError, and a rewrite that breaks a valid word raises
-    InternalInvariantError.
-    """
-    if rule not in _RULES:
-        raise ValueError(f"unknown rule {rule!r}")
-    sym = tuple(sym)
-    inserting = rule == "R1" and not forward
-    if inserting:
-        if insert is None or not _r1_match(*insert):
-            raise ValueError("R1 backward needs insert=( (-2,k), (2,k+-2) )")
-        if not 0 <= pos <= len(sym):
-            raise ValueError(f"insert position {pos} outside word")
-        out = sym[:pos] + tuple(insert) + sym[pos:]
-    else:
-        if insert is not None:
-            raise ValueError(f"insert= is only for R1 backward, not {rule} "
-                             f"{'forward' if forward else 'backward'}")
-        if not 0 <= pos < len(sym) - 1:
-            raise ValueError(f"position {pos} has no adjacent pair in word of length {len(sym)}")
-        out = sym[:pos] + rewrite_pair(rule, sym[pos], sym[pos + 1], forward) + sym[pos + 2:]
-    if check_validity(out) is not None:
-        # Checked only now, so a rewrite that succeeds costs one pass.
-        require_valid(sym)
-        if inserting:
-            raise ValueError(f"inserting {format_sym(insert)} breaks the validity condition")
-        raise InternalInvariantError(f"rewrite {rule} broke the validity condition")
-    return out
-
-
-def rewrite_pair(rule: str, a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, ...]:
-    """What the adjacent pair `a b` becomes under a rule: R1 forward
-    deletes it, and the exchange rules swap it.  Raises ValueError when
-    the pair does not match the rule's pattern, and for R1 backward,
-    an insertion that only apply_relation's `insert` can give."""
-    if rule not in _RULES:
-        raise ValueError(f"unknown rule {rule!r}")
-    if rule == "R1":
-        if not forward:
-            raise ValueError("R1 backward inserts a pair: use apply_relation(..., insert=...)")
-        if not _r1_match(a, b):
-            raise ValueError(f"R1 does not match {a}{b}")
-        return ()
-    new = swap(a, b, forward)
-    (ca, k), (cb, l) = (a, b) if forward else new
-    if (ca, cb) != _SIGNS[rule] or k > l - 2 + (ca - cb) // 2:
-        direction = "forward" if forward else "backward"
-        raise ValueError(f"{rule} {direction} does not match {a}{b}")
-    return new
 
 
 # -- text syntaxes -------------------------------------------------------

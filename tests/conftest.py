@@ -5,12 +5,20 @@ import random
 import pytest
 
 from tanglekit.lomonoid import count_monoid, prime_monoid
+from tanglekit.oracle import _dyck_words
 from tanglekit.states import random_state
 from tanglekit.words import iter_closed_words, random_word
 
 STATE_WIDTHS = (1, 3, 5, 7, 9)
 STATES_PER_WIDTH = 200
 MASTER_SEED = 20260810
+
+
+def dyck_corpus(max_pairs: int):
+    """All balanced words with at most max_pairs pairs (the exhaustive
+    word corpus used by the acceptance suites)."""
+    for n in range(max_pairs + 1):
+        yield from _dyck_words(n)
 
 
 @pytest.fixture(scope="session")

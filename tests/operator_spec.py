@@ -1,13 +1,14 @@
 """The paper's matrix formulas for cap and cup, kept as the test
-specification of `tanglekit.operators`, plus the matrix and value-array
-helpers that only the tests use.
+specification of `tanglekit.operators`, plus the state, matrix and
+value-array helpers that only the tests use.
 
 cap:  R' = M R M' + D,        v' = M * v
 cup:  R' = (M' R M)^2,        v' = R' * [(M' * v) (+) (e_{k-1} * x)]
 
-with M = insert_map(n, k), D = single_diag(n+2, k) and x = cup_value.
-The library computes the same states by editing one region label per
-interval; the tests assert equality with these formulas.
+with M = insert_map(n, k), D = single_diag(n+2, k) and x = cup_value,
+read off the region matrix.  The library computes the same states by
+editing one region label per interval; the tests assert equality with
+these formulas.
 """
 
 from __future__ import annotations
@@ -17,8 +18,21 @@ from typing import Sequence
 from tanglekit.boolmat import BitMatrix, identity, insert_map, single_diag
 from tanglekit.errors import InternalInvariantError
 from tanglekit.lomonoid import MonoidSpec, Value, ValueArray, act
-from tanglekit.operators import cup_value
-from tanglekit.states import TangleState, from_region
+from tanglekit.states import TangleState, from_region, validate
+
+
+def cup_value(state: TangleState, k: int) -> Value:
+    """The value x injected at a cup at slot k: phi(v_k) when
+    e_{k-1}' R e_{k+1} = 1, i.e. the flanking intervals already share a
+    region and the cup seals off the region between them, and
+    v_{k-1} meet v_{k+1} when the cup merges two regions."""
+    n = state.n
+    if not (n >= 3 and 2 <= k <= n - 1):
+        raise ValueError(f"cup slot k={k} outside 2..{n - 1} for width {n}")
+    spec, v = state.spec, state.values
+    if scalar_bit(unit_column(n, k - 1).transpose() @ state.region @ unit_column(n, k + 1)):
+        return spec.phi(v[k - 1])
+    return spec.meet(v[k - 2], v[k])
 
 
 def cap_spec(state: TangleState, k: int) -> TangleState:
@@ -41,6 +55,39 @@ def cup_spec(state: TangleState, k: int) -> TangleState:
     injected = list(act(mt, state.values, spec))
     injected[k - 2] = spec.oplus(injected[k - 2], cup_value(state, k))
     return from_region(region, act(region, injected, spec), spec)
+
+
+# -- state helpers -------------------------------------------------------
+
+def is_valid(region: BitMatrix, values, spec: MonoidSpec) -> bool:
+    """Whether `validate` accepts the region matrix and values."""
+    try:
+        validate(region, values, spec)
+    except ValueError:
+        return False
+    return True
+
+
+def ends_connected(state: TangleState) -> bool:
+    """True iff the first and last intervals share a region.  Every
+    state reached from trivial() by cap/cup has this (the outer region
+    wraps around); width-even states never do, by parity."""
+    return state.labels[0] == state.labels[-1]
+
+
+def encircle_state(state: TangleState) -> TangleState:
+    """Surround the whole picture with one new curve: width n -> n+2.
+
+    Requires the first and last intervals to share a region (true for
+    everything reachable from trivial()); preserves that property.
+    """
+    if not ends_connected(state):
+        raise ValueError("encircle_state needs the outer intervals connected")
+    outer = (max(state.labels) + 1,)
+    zero = (state.spec.zero,)
+    return TangleState(
+        state.n + 2, outer + state.labels + outer, zero + state.values + zero, state.spec
+    )
 
 
 # -- matrix helpers ------------------------------------------------------

@@ -13,19 +13,26 @@ from tanglekit import boolmat as bm
 from tanglekit import words
 from tanglekit.invariants import forest_value, word_value
 from tanglekit.lomonoid import axiom_failures, count_monoid, prime_monoid
-from tanglekit.operators import add_value, cap, cup, encircle_state, mirror
+from tanglekit.operators import add_value, cap, cup, mirror
 from tanglekit.oracle import (
     canonical,
     completeness_report,
-    dyck_corpus,
     enumerate_forests,
     trace_diagram,
 )
-from tanglekit.rewriting import encircle, normalize, to_forest
-from tanglekit.states import is_valid, random_state
+from tanglekit.rewriting import normalize, to_forest
+from tanglekit.states import random_state
 
-from conftest import STATE_WIDTHS
-from operator_spec import inner_embed, masked_transfer, outer_corners, unit_entry
+from conftest import STATE_WIDTHS, dyck_corpus
+from operator_spec import (
+    encircle_state,
+    inner_embed,
+    is_valid,
+    masked_transfer,
+    outer_corners,
+    unit_entry,
+)
+from reference_rewriting import encircle
 
 
 def report(criterion, detail):

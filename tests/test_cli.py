@@ -138,6 +138,9 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == ("ERROR: arity mismatch at position 1: U(3,2) expects width 5, "
                        "incoming width is 3\n")
+        code, out, err = run(["equiv", nest(12), "H(1,2)"])
+        assert code == 1 and out == ""
+        assert err == "ERROR: word is not closed: final width 3\n"
 
     def test_depth_twelve_invariant_is_three(self):
         code, out, err = run(["invariant", nest(12)])
@@ -161,6 +164,11 @@ class TestEvalErrors:
     def test_steps_report_position(self):
         code, _, err = run(["eval", "U(3,3)", "--monoid", "count", "--steps"])
         assert code == 1 and "position 1" in err
+
+    @pytest.mark.parametrize("word", ["U(1,2)", "(2,0)"])
+    def test_steps_refuse_before_printing(self, word):
+        code, out, err = run(["eval", word, "--steps"])
+        assert code == 1 and out == "" and err.startswith("ERROR: ")
 
 
 class TestEvalPath:

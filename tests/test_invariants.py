@@ -19,8 +19,10 @@ from tanglekit.invariants import (
     word_value,
 )
 from tanglekit.lomonoid import count_monoid, prime_monoid
-from tanglekit.rewriting import encircle, normalize, to_forest
+from tanglekit.rewriting import normalize, to_forest
 from tanglekit.words import Generator
+
+from reference_rewriting import encircle, forest_size
 
 COUNT = count_monoid()
 PRIME = prime_monoid()
@@ -185,8 +187,6 @@ class TestForestValue:
         assert forest_value((((), ()),), PRIME) == 7  # phi(4)
 
     def test_count_is_size(self):
-        from tanglekit.rewriting import forest_size
-
         rng = random.Random(0)
         for _ in range(200):
             sym, _ = normalize(words.random_word(rng, 10))
@@ -281,6 +281,8 @@ class TestEquivalent:
             equivalent(around_21, ((2, 0),))
         with pytest.raises(ParseError, match=r"^arity mismatch at position 1: U\(3,2\) expects"):
             equivalent(around_21, (Generator("cup", 3, 2), Generator("cap", 1, 2)))
+        with pytest.raises(ValueError, match=r"^word is not closed: final width 3$"):
+            equivalent(around_21, (Generator("cap", 1, 2),))
 
     def test_circle_count(self):
         assert circle_count(HUMP) == 1

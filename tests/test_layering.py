@@ -84,16 +84,38 @@ def test_only_words_spells_rewrite_formulas():
     assert "swap" in imported and "rewrite_pair" not in imported
 
 
+def referred_names(tree):
+    """Every name a module uses, reads as an attribute or imports."""
+    return {
+        node.id if isinstance(node, ast.Name) else
+        node.attr if isinstance(node, ast.Attribute) else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
 def test_invariants_never_decode():
     # Symbol words go to the operators as they are; a decode here would
     # bring back one Generator per symbol on every evaluation.
-    names = {
-        node.id if isinstance(node, ast.Name) else
-        node.attr if isinstance(node, ast.Attribute) else node.name
-        for node in ast.walk(syntax_tree("invariants"))
-        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-    }
-    assert "decode" not in names
+    assert "decode" not in referred_names(syntax_tree("invariants"))
+
+
+def test_exports_no_module_uses_are_entry_points():
+    # Only callers outside the package reach these, so each must be a
+    # library entry point; a helper that only the tests use belongs in
+    # tests/, and one exported here would show up in this list.
+    used = set().union(*(
+        referred_names(syntax_tree(path.stem))
+        for path in PACKAGE.glob("*.py") if path.stem != "__init__"
+    ))
+    assert [name for name in tanglekit.__all__ if name not in used] == [
+        "circle_count", "lattice_monoid", "validate",
+    ]
+
+
+def test_exports_are_sorted_and_resolve():
+    assert tanglekit.__all__ == sorted(tanglekit.__all__)
+    assert [name for name in tanglekit.__all__ if not hasattr(tanglekit, name)] == []
 
 
 def absolute_imports(tree):

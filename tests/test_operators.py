@@ -14,24 +14,27 @@ from tanglekit.operators import (
     add_value,
     cap,
     cup,
-    cup_value,
-    encircle_state,
     eval_closed,
     eval_steps,
     eval_word,
     mirror,
-    shift,
 )
 from tanglekit.states import (
     TangleState,
     from_region,
-    is_valid,
     random_state,
     trivial,
     validate,
 )
 
-from operator_spec import cap_spec, cup_spec
+from operator_spec import (
+    cap_spec,
+    cup_spec,
+    cup_value,
+    encircle_state,
+    ends_connected,
+    is_valid,
+)
 
 COUNT = count_monoid()
 PRIME = prime_monoid()
@@ -211,8 +214,6 @@ class TestEncircleState:
         assert out.values == (0, 3, 0)
 
     def test_well_defined(self):
-        from tanglekit.states import ends_connected
-
         rng = random.Random(8)
         for _ in range(200):
             spec = PRIME if rng.randrange(2) else COUNT
@@ -238,20 +239,6 @@ class TestEncircleState:
             st = random_state(n, rng, spec)
             k = rng.randrange(2, n)
             assert cup(encircle_state(st), k + 1) == encircle_state(cup(st, k))
-
-
-class TestShift:
-    def test_rule(self):
-        assert shift(Generator("cap", 1, 2)) == Generator("cap", 3, 3)
-        assert shift(Generator("cup", 3, 4)) == Generator("cup", 5, 5)
-
-    def test_symbol_unchanged(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            n = rng.randrange(1, 9)
-            k = rng.randrange(2, n + 2)
-            g = Generator("cap" if rng.randrange(2) else "cup", n, k)
-            assert shift(g).symbol() == g.symbol()
 
 
 class TestEvalWord:

