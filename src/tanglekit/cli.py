@@ -219,19 +219,25 @@ def run_selftest(seed: int, trials: int) -> int:
     return EXIT_OK if failures == 0 else EXIT_INTERNAL
 
 
+def _check(ok: bool) -> None:
+    """An assert that `python -O` keeps: a failed check fails its suite."""
+    if not ok:
+        raise AssertionError
+
+
 def _selftest_identities() -> int:
     checks = 0
     for n in range(1, 7):
         for k in range(2, n + 2):
             b = boolmat.insert_map(n, k)
-            assert b.transpose() @ b == boolmat.identity(n)
-            assert b.transpose() @ boolmat.single_diag(n + 2, k) == boolmat.zero(n, n + 2)
-            assert boolmat.single_diag(n + 2, k) @ b == boolmat.zero(n + 2, n)
-            assert b @ b.transpose() >= boolmat.identity(n + 2) - boolmat.single_diag(n + 2, k)
+            _check(b.transpose() @ b == boolmat.identity(n))
+            _check(b.transpose() @ boolmat.single_diag(n + 2, k) == boolmat.zero(n, n + 2))
+            _check(boolmat.single_diag(n + 2, k) @ b == boolmat.zero(n + 2, n))
+            _check(b @ b.transpose() >= boolmat.identity(n + 2) - boolmat.single_diag(n + 2, k))
             checks += 4
         s_in, s_out = boolmat.reversal(n), boolmat.reversal(n + 2)
         for k in range(2, n + 2):
-            assert s_out @ boolmat.insert_map(n, k) @ s_in == boolmat.insert_map(n, n + 3 - k)
+            _check(s_out @ boolmat.insert_map(n, k) @ s_in == boolmat.insert_map(n, n + 3 - k))
             checks += 1
     return checks
 
@@ -244,7 +250,8 @@ def _selftest_axioms(seed: int, trials: int) -> int:
             (spec.sample(rng), spec.sample(rng), spec.sample(rng)) for _ in range(trials)
         ]
         bad = axiom_failures(spec, triples)
-        assert not bad, f"{spec.name}: {bad[0]}"
+        if bad:
+            raise AssertionError(f"{spec.name}: {bad[0]}")
         checks += len(triples)
     return checks
 
@@ -260,15 +267,15 @@ def _selftest_relations(seed: int, trials: int) -> int:
         up = cap(state, k)
         # the undoing cup must itself be a legal slot on width n+2
         if k <= n:
-            assert cup(up, k + 1) == state
+            _check(cup(up, k + 1) == state)
         if k >= 3:
-            assert cup(up, k - 1) == state
-        assert mirror(mirror(state)) == state
+            _check(cup(up, k - 1) == state)
+        _check(mirror(mirror(state)) == state)
         if n + 4 <= 9:
             l = rng.randrange(k + 2, n + 4)
             left = cap(cap(state, k), l)
             right = cap(cap(state, l - 2), k)
-            assert left == right
+            _check(left == right)
         checks += 1
     return checks
 
@@ -278,7 +285,7 @@ def _selftest_codec(seed: int, trials: int) -> int:
     checks = 0
     for _ in range(trials):
         sym = words.random_word(rng, max_pairs=8)
-        assert words.encode(words.decode(sym)) == sym
+        _check(words.encode(words.decode(sym)) == sym)
         checks += 1
     return checks
 
@@ -291,14 +298,15 @@ def _selftest_normalize(seed: int, trials: int) -> int:
         normal, _ = rewriting.normalize(sym)
         geometric = oracle.canonical(oracle.trace_diagram(sym))
         rewritten = oracle.canonical(rewriting.to_forest(normal))
-        assert geometric == rewritten, format_sym(sym)
+        if geometric != rewritten:
+            raise AssertionError(format_sym(sym))
         checks += 1
     return checks
 
 
 def _selftest_completeness() -> int:
     report = oracle.completeness_report(5)
-    assert report.ok
+    _check(report.ok)
     return len(report.rows)
 
 

@@ -18,26 +18,31 @@ off and x = phi(value inside); otherwise two regions merge and
 x = meet of their values (their join is already present, and
 join (+) meet = (+) of both).
 
-Two private kernels edit a list of region labels (one per interval)
-and a list of values in place with slices and `index` scans, so a
-generator of width w costs O(w) work done in C plus O(size of the
-merged region) Python steps; they rely on the input being a valid
-state.  The cup kernel reads x off the labels: the flanking intervals
-share a region exactly when they carry one label.  `eval_word` and
+Two private kernels edit, in place, a list of region labels (one per
+interval) and a dict from label to value: one value per region, since
+every interval of a region holds the same value.  A cap or a sealing
+cup costs an O(w) memmove of the label list and O(1) Python steps;
+only a merging cup scans the list, with `index`, to relabel one of the
+two regions.  The kernels rely on the input being a valid state: an
+invalid one keeps the value of the last interval of each region, and a
+cup that seals off a region of more than one interval raises KeyError.
+The cup kernel reads x off the labels: the flanking intervals share a
+region exactly when they carry one label.  `eval_word` and
 `closed_values` (behind `eval_closed`) check the whole word first,
 list its generators as (is_cap, slot) pairs and run the kernels over
-them on one pair of lists, so a word adds O(1) Python steps per
-generator to the kernels' cost; `closed_values` checks every word,
+them on one label list and one dict, so a word adds O(1) Python steps
+per generator to the kernels' cost; `closed_values` checks every word,
 closedness included, before it evaluates any.  The public `cap` and
 `cup` also pay a copy and a new TangleState.  A closed symbol word is
 checked by the validity condition and needs no Generator: at incoming
 width w, (2,d) is a cap at slot (d+w+3)/2 and (-2,d) a cup at slot
 (d+w+1)/2.  With 0-based intervals: a cap splits interval k-2 into
-k-2, k-1 (a fresh label, the new region) and k (the label of k-2
-again); a cup folds intervals k-2 and k into one and drops k-1.  If
-k-2 and k carry different labels, the two regions merge: the intervals
-labelled like k gain the label of k-2.  Every interval of the merged
-region then holds the value join (+) x.
+k-2, k-1 (a fresh label, the new region, valued zero) and k (the label
+of k-2 again); a cup folds intervals k-2 and k into one and drops k-1.
+If k-2 and k carry one label, the region of k-1 is sealed off and
+leaves the dict.  Otherwise the two regions merge: the intervals
+labelled like k gain the label of k-2, and the merged region holds
+join (+) x.
 
 A word of generators is evaluated right-to-left: the rightmost factor
 is the topmost piece of the diagram and is applied first.
@@ -51,53 +56,54 @@ from .words import Generator  # noqa: F401  (re-exported)
 from .words import is_sym_word, require_valid, width_profile
 
 
-def _cap_into(labels: list, values: list, k: int, fresh, zero: Value) -> None:
+def _cap_into(labels: list, value: dict, k: int, fresh, zero: Value) -> None:
     """Cap at slot k, in place; `fresh` labels the new region and no interval may carry it."""
     n = len(labels)
     if not 2 <= k <= n + 1:
         raise ValueError(f"cap slot k={k} outside 2..{n + 1} for width {n}")
     labels[k - 1:k - 1] = (fresh, labels[k - 2])
-    values[k - 1:k - 1] = (zero, values[k - 2])
+    value[fresh] = zero
 
 
-def _cup_into(labels: list, values: list, k: int, spec: MonoidSpec) -> None:
-    """Cup at slot k on a state held as two lists, edited in place."""
+def _cup_into(labels: list, value: dict, k: int, spec: MonoidSpec) -> None:
+    """Cup at slot k on a state held as labels and region values, edited in place."""
     n = len(labels)
     if n < 3:
         raise ValueError(f"cup needs width >= 3, got {n}")
     if not 2 <= k <= n - 1:
         raise ValueError(f"cup slot k={k} outside 2..{n - 1} for width {n}")
-    if labels[k - 2] == labels[k]:  # flanking intervals share a region
-        x = spec.phi(values[k - 1])
-    else:
-        x = spec.meet(values[k - 2], values[k])
-    joined = spec.oplus(spec.join(values[k - 2], values[k]), x)
-    a, b = labels[k - 2], labels[k]
+    a, inner, b = labels[k - 2:k + 1]
     del labels[k - 1:k + 1]
-    del values[k - 1:k + 1]
-    for old in {a, b}:  # the merged region: a's intervals and b's, relabelled a
-        i = -1
-        try:
-            while True:
-                i = labels.index(old, i + 1)
-                labels[i] = a
-                values[i] = joined
-        except ValueError:  # no interval labelled old is left
-            pass
+    if a == b:  # flanking intervals share a region: the one between is sealed
+        value[a] = spec.oplus(value[a], spec.phi(value.pop(inner)))
+        return
+    va, vb = value[a], value.pop(b)
+    value[a] = spec.oplus(spec.join(va, vb), spec.meet(va, vb))
+    i = -1  # b's intervals, on either side of a's, join a's region
+    try:
+        while True:
+            i = labels.index(b, i + 1)
+            labels[i] = a
+    except ValueError:  # no interval labelled b is left
+        pass
+
+
+def _state(labels: list, value: dict, spec: MonoidSpec) -> TangleState:
+    return TangleState(len(labels), tuple(labels), tuple(map(value.__getitem__, labels)), spec)
 
 
 def cap(state: TangleState, k: int) -> TangleState:
     """Insert a new region at slot k: width n -> n+2."""
-    labels, values = list(state.labels), list(state.values)
-    _cap_into(labels, values, k, max(labels) + 1, state.spec.zero)
-    return TangleState(state.n + 2, tuple(labels), tuple(values), state.spec)
+    labels, value = list(state.labels), dict(zip(state.labels, state.values))
+    _cap_into(labels, value, k, max(labels) + 1, state.spec.zero)
+    return _state(labels, value, state.spec)
 
 
 def cup(state: TangleState, k: int) -> TangleState:
     """Close the region at slot k: width n+2 -> n."""
-    labels, values = list(state.labels), list(state.values)
-    _cup_into(labels, values, k, state.spec)
-    return TangleState(state.n - 2, tuple(labels), tuple(values), state.spec)
+    labels, value = list(state.labels), dict(zip(state.labels, state.values))
+    _cup_into(labels, value, k, state.spec)
+    return _state(labels, value, state.spec)
 
 
 def mirror(state: TangleState) -> TangleState:
@@ -156,16 +162,16 @@ def _slots(word, width: int) -> list[tuple[bool, int]]:
 
 def _run(slots, start: TangleState) -> TangleState:
     """The state after the checked (is_cap, slot) steps, run on one
-    label list and one value list copied from start."""
+    label list and one region-value dict copied from start."""
     spec, fresh = start.spec, max(start.labels) + 1
-    labels, values = list(start.labels), list(start.values)
+    labels, value = list(start.labels), dict(zip(start.labels, start.values))
     for is_cap, k in slots:
         if is_cap:
-            _cap_into(labels, values, k, fresh, spec.zero)
+            _cap_into(labels, value, k, fresh, spec.zero)
             fresh += 1
         else:
-            _cup_into(labels, values, k, spec)
-    return TangleState(len(labels), tuple(labels), tuple(values), spec)
+            _cup_into(labels, value, k, spec)
+    return _state(labels, value, spec)
 
 
 def eval_word(word, start: TangleState) -> TangleState:

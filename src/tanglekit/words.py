@@ -225,26 +225,27 @@ def swap(a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, Symbol]:
 # Detection: first non-space character '(' means symbol form.
 
 _SYM_TOKEN = re.compile(r"\((-?[0-9]+),(-?[0-9]+)\)")
+_SYM_RUN = re.compile(r"(?:\(-?[0-9]+,-?[0-9]+\))*")
 _GEN_TOKEN = re.compile(r"([HU])\(([0-9]+),([0-9]+)\)\Z")
 
 
 def parse_sym(text: str) -> SymWord:
+    """One regex match finds the well-formed prefix and one findall
+    reads its tokens; errors are reported in symbol order, a bad c or
+    odd d in the prefix before the bad token that ends it."""
     text = text.strip()
+    end = _SYM_RUN.match(text).end()
     out = []
-    pos = 0
-    index = 0
-    while pos < len(text):
-        m = _SYM_TOKEN.match(text, pos)
-        index += 1
-        if not m:
-            raise ParseError(f"symbol {index}: bad token at {text[pos:pos + 8]!r}", index)
-        c, d = int(m.group(1)), int(m.group(2))
+    for index, (c, d) in enumerate(_SYM_TOKEN.findall(text, 0, end), start=1):
+        c, d = int(c), int(d)
         if c not in (2, -2):
             raise ParseError(f"symbol {index}: first component must be +-2, got {c}", index)
         if d % 2:
             raise ParseError(f"symbol {index}: d={d} must be even", index)
         out.append((c, d))
-        pos = m.end()
+    if end < len(text):
+        index = len(out) + 1
+        raise ParseError(f"symbol {index}: bad token at {text[end:end + 8]!r}", index)
     return tuple(out)
 
 
@@ -282,10 +283,6 @@ def format_sym(sym) -> str:
     return "".join(f"({c},{d})" for c, d in sym)
 
 
-def format_gen(word) -> str:
-    return ";".join(g.text() for g in word)
-
-
 # -- corpora for property suites -----------------------------------------
 
 def random_word(rng, max_pairs: int) -> SymWord:
@@ -312,26 +309,6 @@ def random_word(rng, max_pairs: int) -> SymWord:
             out.append((-2, rng.randrange(-q // 2, q // 2 + 1) * 2))
             q += 2
     return tuple(out)
-
-
-def iter_closed_words(max_symbols: int):
-    """Every valid symbol word with at most max_symbols symbols,
-    including the empty word; exhaustive corpus for acceptance suites."""
-
-    def extend(word: tuple, q: int, left: int):
-        if left == 0:
-            if q == 0:
-                yield word
-            return
-        if q + 2 <= 2 * (left - 1):
-            for d in range(-q, q + 1, 2):
-                yield from extend(word + ((-2, d),), q + 2, left - 1)
-        if q >= 2:
-            for d in range(-(q - 2), q - 1, 2):
-                yield from extend(word + ((2, d),), q - 2, left - 1)
-
-    for length in range(0, max_symbols + 1, 2):
-        yield from extend((), 0, length)
 
 
 def is_sym_word(word) -> bool:

@@ -7,11 +7,31 @@ import pytest
 from tanglekit.lomonoid import count_monoid, prime_monoid
 from tanglekit.oracle import _dyck_words
 from tanglekit.states import random_state
-from tanglekit.words import iter_closed_words, random_word
+from tanglekit.words import random_word
 
 STATE_WIDTHS = (1, 3, 5, 7, 9)
 STATES_PER_WIDTH = 200
 MASTER_SEED = 20260810
+
+
+def iter_closed_words(max_symbols: int):
+    """Every valid symbol word with at most max_symbols symbols,
+    including the empty word; exhaustive corpus for acceptance suites."""
+
+    def extend(word: tuple, q: int, left: int):
+        if left == 0:
+            if q == 0:
+                yield word
+            return
+        if q + 2 <= 2 * (left - 1):
+            for d in range(-q, q + 1, 2):
+                yield from extend(word + ((-2, d),), q + 2, left - 1)
+        if q >= 2:
+            for d in range(-(q - 2), q - 1, 2):
+                yield from extend(word + ((2, d),), q - 2, left - 1)
+
+    for length in range(0, max_symbols + 1, 2):
+        yield from extend((), 0, length)
 
 
 def dyck_corpus(max_pairs: int):

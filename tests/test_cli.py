@@ -70,6 +70,24 @@ def test_selftest_seeds_differ():
     assert a[0] == b[0] == 0  # same verdict, different sampled checks
 
 
+def test_selftest_checks_survive_optimize():
+    # `python -O` strips assert statements; a broken codec must still
+    # fail its suite there.
+    script = (
+        "import sys\n"
+        "from tanglekit import cli, words\n"
+        "words.encode = lambda word: ((2, 0),)\n"
+        "sys.exit(cli.main(['selftest', '--seed', '3', '--trials', '20']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "suite codec-roundtrip FAIL ()\n" in proc.stdout
+    assert proc.stdout.endswith("seed 3 trials 20: 1 FAILED\n")
+
+
 def test_one_parser_keeps_no_options_between_calls():
     # Every main call parses with the same parser object, so an option
     # given to one call must not carry over to the next.

@@ -13,6 +13,7 @@ import tanglekit
 from tanglekit import invariants, operators, rewriting, words
 
 PACKAGE = pathlib.Path(tanglekit.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def syntax_tree(module):
@@ -111,6 +112,25 @@ def test_exports_no_module_uses_are_entry_points():
     assert [name for name in tanglekit.__all__ if name not in used] == [
         "circle_count", "lattice_monoid", "validate",
     ]
+
+
+def test_every_public_definition_has_a_caller():
+    # A public module-level function or class is exported, or used by
+    # name in the package (its own module included) or by the benchmark;
+    # one that only the tests use belongs in tests/.
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    used = set(tanglekit.__all__).union(
+        *(referred_names(syntax_tree(module)) for module in modules),
+        *(referred_names(ast.parse(path.read_text())) for path in BENCH.glob("*.py")),
+    )
+    unused = [
+        f"{module}.{node.name}"
+        for module in modules
+        for node in syntax_tree(module).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in used
+    ]
+    assert unused == []
 
 
 def test_exports_are_sorted_and_resolve():

@@ -1,6 +1,8 @@
 """Elementary operators: formulas pinned by hand, relations, intertwining."""
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -374,6 +376,47 @@ class TestLabels:
         word = words.decode(((-2, 0),) * depth + ((2, 0),) * depth)
         assert eval_closed(word, COUNT) == depth
         assert len(built) == 2  # trivial() and the final state
+
+
+class TestCupBranches:
+    """A cup that seals a region off calls phi and oplus once each and no
+    lattice operation; only a cup that merges two regions calls join and
+    meet.  The calls are counted, so the pin does not hang on wall time."""
+
+    @staticmethod
+    def counting(spec, calls):
+        def counted(name):
+            op = getattr(spec, name)
+
+            def call(*args):
+                calls[name] += 1
+                return op(*args)
+
+            return call
+
+        names = ("oplus", "join", "meet", "phi")
+        return dataclasses.replace(spec, **{name: counted(name) for name in names})
+
+    @pytest.mark.parametrize("depth", [1, 7, 300])
+    def test_sealing_cups(self, depth):
+        nest = ((-2, 0),) * depth + ((2, 0),) * depth
+        row = ((-2, 0), (2, 0)) * depth
+        for word in (nest, row):
+            calls = Counter()
+            assert eval_closed(word, self.counting(COUNT, calls)) == depth
+            counts = [calls[name] for name in ("phi", "oplus", "join", "meet")]
+            assert counts == [depth, depth, 0, 0], word[:4]
+
+    def test_merging_cup(self):
+        # One wavy circle: its cup U(3,3) merges the regions inside the
+        # two humps, and U(1,2) then seals the merged region off.
+        wavy = ((-2, 0), (-2, 0), (2, 2), (2, 0))
+        for spec in (COUNT, PRIME, CHAIN):
+            calls = Counter()
+            value = eval_closed(wavy, self.counting(spec, calls))
+            assert value == eval_closed(((-2, 0), (2, 0)), spec), spec.name
+            counts = [calls[name] for name in ("phi", "oplus", "join", "meet")]
+            assert counts == [1, 2, 1, 1], spec.name
 
 
 class TestSymbolWords:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import reference_rewriting
+from conftest import iter_closed_words
 from reference_rewriting import apply_relation, rewrite_pair
 from tanglekit.errors import InternalInvariantError, ParseError
 from tanglekit.operators import Generator
@@ -12,10 +13,8 @@ from tanglekit.words import (
     check_validity,
     decode,
     encode,
-    format_gen,
     format_sym,
     is_closed,
-    iter_closed_words,
     parse_gen,
     parse_sym,
     parse_word,
@@ -23,6 +22,11 @@ from tanglekit.words import (
     swap,
     width_profile,
 )
+
+
+def format_gen(word) -> str:
+    return ";".join(g.text() for g in word)
+
 
 CIRCLE = (Generator("cup", 1, 2), Generator("cap", 1, 2))
 HUMP = (
@@ -328,6 +332,50 @@ class TestParsing:
             assert parse_sym(format_sym(sym)) == sym
             word = decode(sym)
             assert parse_gen(format_gen(word)) == word
+
+
+class TestSymbolParseErrors:
+    """A symbol word is read in symbol order: the first symbol with a bad
+    c, an odd d or a malformed token is the one reported."""
+
+    @pytest.mark.parametrize("text, message, position", [
+        # a bad c before a later bad token, and a bad token before a later bad c
+        ("(-2,0)(3,0)(2,0)x", "symbol 2: first component must be +-2, got 3", 2),
+        ("(-2,0)(2,0)x(3,0)", "symbol 3: bad token at 'x(3,0)'", 3),
+        # an odd d; within one symbol c is checked first
+        ("(-2,0)(2,1)", "symbol 2: d=1 must be even", 2),
+        ("(3,1)", "symbol 1: first component must be +-2, got 3", 1),
+        ("(2,1)(3,0)", "symbol 1: d=1 must be even", 1),
+        # whitespace is stripped at the ends only
+        ("(-2,0) (2,0)", "symbol 2: bad token at ' (2,0)'", 2),
+        # a valid prefix followed by a tail that is no token
+        ("(-2,0)(2,0)(", "symbol 3: bad token at '('", 3),
+        ("(-2,0)(2,", "symbol 2: bad token at '(2,'", 2),
+        ("(-2,0)(2,0)()", "symbol 3: bad token at '()'", 3),
+        ("(-2,0)(+2,0)", "symbol 2: bad token at '(+2,0)'", 2),
+    ])
+    def test_first_error_in_symbol_order(self, text, message, position):
+        with pytest.raises(ParseError) as excinfo:
+            parse_sym(text)
+        assert (str(excinfo.value), excinfo.value.position) == (message, position)
+
+    @pytest.mark.parametrize("text, word", [
+        ("(02,0)", ((2, 0),)),
+        ("(-02,-00)", ((-2, 0),)),
+        (" (-2,0)(2,0) \n", ((-2, 0), (2, 0))),
+        ("", ()),
+        ("   ", ()),
+    ])
+    def test_accepted_spellings(self, text, word):
+        assert parse_sym(text) == word
+
+    def test_long_word_roundtrips(self):
+        sym = random_word(random.Random(15), 50_000)
+        sym += ((-2, 0), (2, 0)) * ((100_000 - len(sym)) // 2)
+        assert len(sym) == 100_000
+        text = format_sym(sym)
+        assert parse_sym(text) == sym
+        assert format_sym(parse_sym(text)) == text
 
 
 class TestArities:
