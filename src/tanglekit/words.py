@@ -232,7 +232,10 @@ _GEN_TOKEN = re.compile(r"([HU])\(([0-9]+),([0-9]+)\)\Z")
 def parse_sym(text: str) -> SymWord:
     """One regex match finds the well-formed prefix and one findall
     reads its tokens; errors are reported in symbol order, a bad c or
-    odd d in the prefix before the bad token that ends it."""
+    odd d in the prefix before the bad token that ends it.  Leading
+    zeros and -0 are accepted: (02,0) reads as (2,0) and (-02,-00) as
+    (-2,0).  format_sym writes the canonical spelling, so normalize
+    echoes a word in that spelling."""
     text = text.strip()
     end = _SYM_RUN.match(text).end()
     out = []

@@ -1,7 +1,10 @@
 """The normalization algorithm, potentials, factors, and forests."""
 
 import random
+import re
 import tracemalloc
+from collections import Counter
+from itertools import count
 
 import pytest
 
@@ -172,6 +175,71 @@ class TestAgainstReference:
         out, trace = normalize(sym)
         assert len(trace) > 10**5
         assert canonical(to_forest(out)) == canonical(trace_diagram(words.decode(sym)))
+
+
+class TestRewriteSites:
+    """The loop's three rewrite sites: each checks its two new symbols
+    against a bound of its own, and each exchange is one words.swap."""
+
+    # (step, rule, forward) of each kind of exchange the loop makes
+    KINDS = [(1, "R3.2", True), (1, "R3.1", False), (2, "R2", True), (2, "R4", True),
+             (4, "R3.1", True)]
+    SITE_WORD = seeded_word(4, 10, 16)  # 10 symbols; its 46 rewrites hold every kind
+    LONG_WORD = seeded_word(400, 400, 400)  # the word of test_long_word_regression
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: f"step{kind[0]}-{kind[1]}-{kind[2]}")
+    def test_each_site_refuses_the_first_invalid_d(self, monkeypatch, kind, side):
+        # At the first rewrite of this kind, swap returns one symbol with
+        # the smallest even |d| that out_of_bounds refuses at its place:
+        # the loop must stop there, so no site's bound is looser.
+        word, total = self.SITE_WORD, sum(c for c, _ in self.SITE_WORD)
+        _, ref_trace = reference_normalize(word)
+        at = next(k for k, s in enumerate(ref_trace) if (s.step, s.rule, s.forward) == kind)
+        before = ref_trace[at - 1].word if at else word
+        pre = sum(c for c, _ in before[:ref_trace[at].pos])
+        swaps_before = sum(s.rule != "R1" for s in ref_trace[:at])
+        plain = rewriting.swap
+        calls = []
+
+        def bent(a, b, forward=True):
+            new = list(plain(a, b, forward))
+            if len(calls) == swaps_before:
+                j = 0 if side == "left" else 1
+                c, here = new[j][0], pre + j * new[0][0]
+                new[j] = (c, next(d for d in count(0, 2) if words.out_of_bounds(c, d, here, total)))
+            calls.append((a, b))
+            return tuple(new)
+
+        monkeypatch.setattr(rewriting, "swap", bent)
+        message = f"^rewrite {re.escape(kind[1])} broke the validity condition$"
+        with pytest.raises(InternalInvariantError, match=message):
+            normalize(word)
+        assert len(calls) == swaps_before + 1
+
+    def test_swap_is_called_once_per_exchange(self, monkeypatch):
+        plain = rewriting.swap
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return plain(*args)
+
+        monkeypatch.setattr(rewriting, "swap", counted)
+        _, trace = normalize(self.LONG_WORD)
+        assert len(trace) == 130_264
+        assert len(calls) == 130_264 - 124  # every rewrite but the R1 deletions
+
+    def test_rule_counts_of_a_long_word(self):
+        # too long for the reference; leftmost match everywhere fixes
+        # how often each step fires each rule
+        _, trace = normalize(self.LONG_WORD)
+        assert Counter((s.step, s.rule) for s in trace) == {
+            (1, "R3.1"): 18_128, (1, "R3.2"): 20_633,
+            (2, "R2"): 23_543, (2, "R4"): 23_425,
+            (3, "R1"): 124,
+            (4, "R3.1"): 44_411,
+        }
 
 
 class TestTrace:
