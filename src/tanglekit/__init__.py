@@ -24,7 +24,7 @@ from .invariants import (
     nth_prime,
     word_value,
 )
-from .lomonoid import MonoidSpec, act, count_monoid, lattice_monoid, prime_monoid
+from .lomonoid import MonoidSpec, count_monoid, lattice_monoid, prime_monoid
 from .rewriting import Forest, normalize, rewrite_potential, to_forest
 from .operators import add_value, cap, cup, eval_word, mirror
 from .oracle import canonical, completeness_report, enumerate_forests, trace_diagram
@@ -43,7 +43,6 @@ __all__ = [
     "ParseError",
     "ResourceLimitError",
     "TangleState",
-    "act",
     "add_value",
     "canonical",
     "cap",

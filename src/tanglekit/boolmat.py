@@ -200,18 +200,3 @@ def reversal(n: int) -> BitMatrix:
     if n < 1:
         raise ValueError("reversal needs n >= 1")
     return BitMatrix(n, n, tuple(1 << (n - 1 - i) for i in range(n)))
-
-
-def checkerboard(rows: int, cols: int) -> BitMatrix:
-    """Ones exactly where i-j is even (1-based), i.e. the parity mask
-    that any region-connectivity matrix must respect."""
-    if rows < 1 or cols < 1:
-        raise ValueError("checkerboard needs positive dimensions")
-    even = 0
-    odd = 0
-    for j in range(cols):
-        if j % 2 == 0:
-            even |= 1 << j
-        else:
-            odd |= 1 << j
-    return BitMatrix(rows, cols, tuple(even if i % 2 == 0 else odd for i in range(rows)))

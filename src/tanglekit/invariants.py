@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import words
-from .lomonoid import MonoidSpec, Value, count_monoid, prime_monoid
+from .lomonoid import MonoidSpec, Value, count_monoid, format_value, prime_monoid
 from .operators import closed_values, eval_closed
 from .primes import nth_prime  # noqa: F401  (re-exported)
 from .rewriting import forest_value, normalize, to_forest
@@ -49,8 +49,8 @@ def invariant_reports(word, spec: MonoidSpec) -> tuple[InvariantReport, Invarian
     recursive = forest_value(to_forest(normal), spec)
     agree = direct == recursive
     return (
-        InvariantReport(spec.name, str(direct), "operator"),
-        InvariantReport(spec.name, str(recursive), "recursive"),
+        InvariantReport(spec.name, format_value(direct), "operator"),
+        InvariantReport(spec.name, format_value(recursive), "recursive"),
         agree,
     )
 
@@ -60,8 +60,8 @@ def equivalent(word_a, word_b) -> tuple[bool, tuple[InvariantReport, InvariantRe
     prime invariants (a complete invariant for circle systems)."""
     spec = prime_monoid()
     va, vb = closed_values((word_a, word_b), spec)  # checks both words first
-    report_a = InvariantReport(spec.name, str(va), "operator")
-    report_b = InvariantReport(spec.name, str(vb), "operator")
+    report_a = InvariantReport(spec.name, format_value(va), "operator")
+    report_b = InvariantReport(spec.name, format_value(vb), "operator")
     return va == vb, (report_a, report_b)
 
 

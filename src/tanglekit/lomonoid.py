@@ -1,4 +1,4 @@
-"""Lattice-ordered additive monoids and the Boolean action on value arrays.
+"""Lattice-ordered additive monoids.
 
 A MonoidSpec packages the three binary operations (oplus, join, meet),
 the zero element, and the region-closure function phi of one value
@@ -15,9 +15,8 @@ Three ready-made instances:
     It is the way to build a value domain of one's own, and two
     lattices compare equal only when their elements and tables do.
 
-Values travel as plain Python objects in tuples ("value arrays"); a
-BitMatrix acts on a value array coordinatewise by joining the selected
-entries (`act`).
+Values travel as plain Python objects in tuples ("value arrays"), and
+`format_value` is their one text form.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from . import primes
-from .boolmat import BitMatrix
 
 Value = Any
 ValueArray = tuple
@@ -74,23 +72,13 @@ class MonoidSpec:
         return replace(self, name=f"{self.name}+phi", phi=phi)
 
 
-def act(matrix: BitMatrix, values: Sequence[Value], spec: MonoidSpec) -> ValueArray:
-    """Coordinatewise join of selected entries: out[i] = join over j with
-    matrix[i,j]=1 of values[j], zero when the row is empty."""
-    if matrix.cols != len(values):
-        raise ValueError(
-            f"act: matrix has {matrix.cols} columns, array has {len(values)}"
-        )
-    join = spec.join
-    out = []
-    for b in matrix.bits:
-        acc = spec.zero
-        while b:
-            low = b & -b
-            acc = join(acc, values[low.bit_length() - 1])
-            b ^= low
-        out.append(acc)
-    return tuple(out)
+def format_value(value: Value) -> str:
+    """A value as text: str(value), or hex for an int past Python's
+    int-to-str digit limit, which a valid word's prime value can be."""
+    try:
+        return str(value)
+    except ValueError:
+        return hex(value)
 
 
 # -- axiom suite -------------------------------------------------------

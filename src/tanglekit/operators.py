@@ -20,29 +20,27 @@ join (+) meet = (+) of both).
 
 Two private kernels edit, in place, a list of region labels (one per
 interval) and a dict from label to value: one value per region, since
-every interval of a region holds the same value.  A cap or a sealing
-cup costs an O(w) memmove of the label list and O(1) Python steps;
-only a merging cup scans the list, with `index`, to relabel one of the
-two regions.  The kernels rely on the input being a valid state: an
-invalid one keeps the value of the last interval of each region, and a
-cup that seals off a region of more than one interval raises KeyError.
-The cup kernel reads x off the labels: the flanking intervals share a
-region exactly when they carry one label.  `eval_word` and
-`closed_values` (behind `eval_closed`) check the whole word first,
-list its generators as (is_cap, slot) pairs and run the kernels over
-them on one label list and one dict, so a word adds O(1) Python steps
-per generator to the kernels' cost; `closed_values` checks every word,
-closedness included, before it evaluates any.  The public `cap` and
-`cup` also pay a copy and a new TangleState.  A closed symbol word is
-checked by the validity condition and needs no Generator: at incoming
-width w, (2,d) is a cap at slot (d+w+3)/2 and (-2,d) a cup at slot
-(d+w+1)/2.  With 0-based intervals: a cap splits interval k-2 into
-k-2, k-1 (a fresh label, the new region, valued zero) and k (the label
-of k-2 again); a cup folds intervals k-2 and k into one and drops k-1.
-If k-2 and k carry one label, the region of k-1 is sealed off and
-leaves the dict.  Otherwise the two regions merge: the intervals
-labelled like k gain the label of k-2, and the merged region holds
-join (+) x.
+every interval of a region holds the same value.  A cap or a sealing cup
+costs an O(w) memmove of the label list and O(1) Python steps; only a
+merging cup scans the list, with `index`, to relabel one of the two
+regions.  Their input is a valid state, since a TangleState checks
+itself when it is built.  The cup kernel reads x off the labels: the
+flanking intervals share a region exactly when they carry one label.
+`eval_word` and `closed_values` (behind `eval_closed`) check the whole
+word first, list its generators as (is_cap, slot) pairs and run the
+kernels over them on one label list and one dict, so a word adds O(1)
+Python steps per generator to the kernels' cost; `closed_values` checks
+every word, closedness included, before it evaluates any.  The public
+`cap` and `cup` also pay a copy and a new TangleState, which checks
+itself in O(w) Python steps.  A closed symbol word is checked by the
+validity condition and needs no Generator: at incoming width w, (2,d) is
+a cap at slot (d+w+3)/2 and (-2,d) a cup at slot (d+w+1)/2.  With
+0-based intervals: a cap splits interval k-2 into k-2, k-1 (a fresh
+label, the new region, valued zero) and k (the label of k-2 again); a
+cup folds intervals k-2 and k into one and drops k-1.  If k-2 and k
+carry one label, the region of k-1 is sealed off and leaves the dict.
+Otherwise the two regions merge: the intervals labelled like k gain the
+label of k-2, and the merged region holds join (+) x.
 
 A word of generators is evaluated right-to-left: the rightmost factor
 is the topmost piece of the diagram and is applied first.

@@ -1,6 +1,5 @@
-"""States: one region label and one monoid value per interval;
-`validate` is the checked constructor (cap and cup build TangleState
-unchecked).
+"""States: one region label and one monoid value per interval, checked
+on construction.
 
 A TangleState of width n cuts a horizontal line into n intervals of a
 curve diagram.  `labels[i]` names the plane region interval i lies in:
@@ -18,13 +17,23 @@ means:
   T2  for a<=b<=c<=d: R[a,c] R[b,d] <= R[a,b] R[b,c] R[c,d]
                                   (regions cannot interleave)
   T3  a region reaching from i to j must be entered next to i
-  EC  act(R, v) = v               (values constant on regions)
+  EC  R acting on v by joins fixes v   (values constant on regions)
 
 plus the derived constancy check VC: R[i,j] = 1 implies v_i == v_j.
-Labels satisfy E1-E3 by construction; the checks run on the matrix a
-caller hands to `validate`, which turns it into labels once they pass.
-`validate` reports every violated property with a witness, not just the
-first, so shrinking diagnostics stay complete.
+Labels satisfy E1-E3 by construction, and the others are checked in
+one pass over them: a label occurs only at even distances (T1), labels
+nest like brackets (T2), consecutive intervals a < b of one region have
+labels[a+1] == labels[b-1] (T3), and each value equals its region's
+join (EC) and every other value of its region (VC).  The constructor
+runs these checks, so an invalid state cannot be built and the
+operators need no checks of their own.  `validate` takes a matrix:
+it checks E1-E3 on the bitmask rows (row i must equal the set of rows
+that share its lowest bit), then builds the state.  A matrix that is
+not a partition reports E1-E3 and T1, read off its rows.  Every
+violated property is reported with a witness, not just the first, so
+shrinking diagnostics stay complete.  The paper's checks on the matrix
+itself, `property_failures` in tests/operator_spec.py, are the
+specification these are tested against.
 
 Witness indices in failures are 1-based, matching slot conventions.
 """
@@ -34,9 +43,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import boolmat
 from .boolmat import BitMatrix
-from .lomonoid import MonoidSpec, ValueArray, act
+from .lomonoid import MonoidSpec, ValueArray, format_value
 
 
 class StateValidationError(ValueError):
@@ -54,6 +62,18 @@ class TangleState:
     labels: tuple
     values: ValueArray
     spec: MonoidSpec
+
+    def __post_init__(self):
+        n, labels, values = self.n, self.labels, self.values
+        if n < 1 or len(labels) != n or len(values) != n:
+            raise ValueError(
+                f"a width-{n} state needs n >= 1 and n labels and values, got "
+                f"{len(labels)} labels and {len(values)} values"
+            )
+        if n > 1:  # one interval has nothing to compare
+            failures = _label_failures(labels, values, self.spec)
+            if failures:
+                raise StateValidationError(failures)
 
     def _key(self) -> tuple:
         first: dict = {}  # label -> its number in order of first occurrence
@@ -77,101 +97,85 @@ class TangleState:
 
     def dump(self) -> str:
         """Matrix rows as 0/1 lines, then the value tuple."""
-        lines = self.region.to_lines()
-        rendered = ", ".join(str(v) for v in self.values)
-        return "\n".join(lines + [f"({rendered})"])
+        return "\n".join(self.region.to_lines() + [f"({self._rendered()})"])
 
     def summary(self) -> str:
-        rendered = ", ".join(str(v) for v in self.values)
-        return f"width {self.n} values ({rendered})"
+        return f"width {self.n} values ({self._rendered()})"
+
+    def _rendered(self) -> str:
+        return ", ".join(map(format_value, self.values))
 
 
-def _property_failures(region: BitMatrix, values, spec: MonoidSpec) -> list:
-    n = region.rows
-    failures: list[tuple[str, tuple]] = []
+def _label_failures(labels, values, spec: MonoidSpec) -> list:
+    """T1, T2, T3, EC and VC of a labelling, each with one witness.
 
-    ident = boolmat.identity(n)
-    if not ident <= region:
-        i = next(i for i in range(n) if region.entry(i, i) == 0)
-        failures.append(("E1", (i + 1, i + 1)))
-
-    rt = region.transpose()
-    if rt != region:
-        i, j = next(
-            (i, j) for i in range(n) for j in range(n)
-            if region.entry(i, j) != rt.entry(i, j)
-        )
-        failures.append(("E2", (i + 1, j + 1)))
-
-    sq = region @ region
-    if sq != region:
-        i, j = next(
-            (i, j) for i in range(n) for j in range(n)
-            if region.entry(i, j) != sq.entry(i, j)
-        )
-        failures.append(("E3", (i + 1, j + 1)))
-
-    if not region <= boolmat.checkerboard(n, n):
-        i, j = next(
-            (i, j) for i in range(n) for j in range(n)
-            if region.entry(i, j) and (i - j) % 2
-        )
-        failures.append(("T1", (i + 1, j + 1)))
-
-    # T2: quadruple loop, pruned on the two premise entries.
-    done = False
-    for a in range(n):
-        if done:
-            break
-        for c in range(a, n):
-            if not region.entry(a, c):
-                continue
-            for b in range(a, c + 1):
-                for d in range(c, n):
-                    if region.entry(b, d) and not (
-                        region.entry(a, b) and region.entry(b, c) and region.entry(c, d)
-                    ):
-                        failures.append(("T2", (a + 1, b + 1, c + 1, d + 1)))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not region.entry(a, b):
-                continue
-            if region.entry(a + 1, b - 1):
-                continue
-            if any(region.entry(a, g) for g in range(a + 1, b)):
-                continue
-            failures.append(("T3", (a + 1, b + 1)))
-            break
-        else:
+    The values are taken to lie in the monoid, so by axiom C1 (zero is
+    the least value) EC can fail only in a region whose values differ.
+    The T1, T3, EC and VC witnesses are the first pair in row-major
+    order of the region matrix, as the matrix checks find them.  T2's is
+    the first crossing A..B..A..B the bracket scan meets: the stack holds
+    the open regions, a repeated label closes every region opened after
+    it, and a closed region that occurs again crosses the one that
+    closed it."""
+    first: dict = {}  # label -> its first interval
+    last: dict = {}  # label -> its latest interval so far
+    closed: dict = {}  # label -> (a, c): the region at a and c closed it
+    stack: list = []
+    t1 = t2 = t3 = vc = None
+    for p, label in enumerate(labels):
+        value = values[p]
+        if label not in first:
+            first[label] = last[label] = p
+            stack.append(label)
             continue
-        break
+        a, prev = first[label], last[label]
+        if (p - a) % 2 and (t1 is None or a < t1[0]):
+            t1 = (a, p)
+        if value != values[a] and (vc is None or a < vc[0]):
+            vc = (a, p)
+        if labels[prev + 1] != labels[p - 1] and (t3 is None or prev < t3[0]):
+            t3 = (prev, p)
+        if t2 is None:
+            if label in closed:
+                a, c = closed[label]
+                t2 = (a, prev, c, p)
+            else:
+                while stack[-1] != label:
+                    closed[stack.pop()] = (prev, p)
+        last[label] = p
+    ec = None
+    if vc is not None:  # by C1 a region of one value is its own join
+        joined: dict = {}
+        for label, value in zip(labels, values):
+            joined[label] = spec.join(joined.get(label, spec.zero), value)
+        ec = next(((i,) for i, label in enumerate(labels) if joined[label] != values[i]), None)
+    found = [("T1", t1), ("T2", t2), ("T3", t3), ("EC", ec), ("VC", vc)]
+    return [(name, tuple(i + 1 for i in at)) for name, at in found if at is not None]
 
-    fixed = act(region, values, spec)
-    if fixed != tuple(values):
-        i = next(i for i in range(n) if fixed[i] != values[i])
-        failures.append(("EC", (i + 1,)))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if region.entry(i, j) and values[i] != values[j]:
-                failures.append(("VC", (i + 1, j + 1)))
-                break
-        else:
-            continue
-        break
-
+def _matrix_failures(region: BitMatrix) -> list:
+    """E1, E2, E3 and T1 of a square matrix, each at its first entry in
+    row-major order, read off the rows."""
+    bits, n = region.bits, region.rows
+    odd_from = [sum(1 << j for j in range(p, n, 2)) for p in (1, 0)]  # by i % 2
+    square = region @ region
+    bad_rows = [
+        ("E1", [~row & (1 << i) for i, row in enumerate(bits)]),
+        ("E2", [a ^ b for a, b in zip(bits, region.transpose().bits)]),
+        ("E3", [a ^ b for a, b in zip(bits, square.bits)]),
+        ("T1", [row & odd_from[i % 2] for i, row in enumerate(bits)]),
+    ]
+    failures = []
+    for name, rows in bad_rows:
+        i = next((i for i, row in enumerate(rows) if row), None)
+        if i is not None:
+            failures.append((name, (i + 1, (rows[i] & -rows[i]).bit_length())))
     return failures
 
 
 def validate(region: BitMatrix, values, spec: MonoidSpec) -> TangleState:
-    """Build a state, or raise naming every violated property."""
+    """Build a state from a region matrix and values, or raise naming
+    every violated property."""
     if not region.is_square():
         raise ValueError(f"region matrix must be square, got {region.rows}x{region.cols}")
     if region.rows != len(values):
@@ -180,16 +184,15 @@ def validate(region: BitMatrix, values, spec: MonoidSpec) -> TangleState:
         )
     if region.rows < 1:
         raise ValueError("width must be >= 1")
-    failures = _property_failures(region, tuple(values), spec)
-    if failures:
-        raise StateValidationError(failures)
-    return from_region(region, values, spec)
-
-
-def from_region(region: BitMatrix, values, spec: MonoidSpec) -> TangleState:
-    """The state of a valid region matrix, unchecked: each interval is
-    labelled by the first interval of its region (its row's lowest bit)."""
+    # E1-E3 hold exactly when each row is the set of rows that share its
+    # lowest bit; that set holds the row's own index, so E1 comes free.
+    # Each interval is then labelled by the first interval of its region.
     labels = tuple((row & -row).bit_length() - 1 for row in region.bits)
+    members: dict = {}
+    for i, label in enumerate(labels):
+        members[label] = members.get(label, 0) | 1 << i
+    if any(row != members[label] for row, label in zip(region.bits, labels)):
+        raise StateValidationError(_matrix_failures(region))
     return TangleState(region.rows, labels, tuple(values), spec)
 
 

@@ -1,14 +1,16 @@
-"""The paper's matrix formulas for cap and cup, kept as the test
-specification of `tanglekit.operators`, plus the state, matrix and
-value-array helpers that only the tests use.
+"""The paper's matrix formulas for cap and cup and its validity
+properties of a state, kept as the test specification of
+`tanglekit.operators` and `tanglekit.states`, plus the state, matrix
+and value-array helpers that only the tests use.
 
 cap:  R' = M R M' + D,        v' = M * v
 cup:  R' = (M' R M)^2,        v' = R' * [(M' * v) (+) (e_{k-1} * x)]
 
 with M = insert_map(n, k), D = single_diag(n+2, k) and x = cup_value,
-read off the region matrix.  The library computes the same states by
-editing one region label per interval; the tests assert equality with
-these formulas.
+read off the region matrix; a matrix acts on a value array by `act`.
+The library computes the same states by editing one region label per
+interval, and checks a state's validity on its labels; the tests
+assert equality with these formulas and with `property_failures`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,27 @@ from typing import Sequence
 
 from tanglekit.boolmat import BitMatrix, identity, insert_map, single_diag
 from tanglekit.errors import InternalInvariantError
-from tanglekit.lomonoid import MonoidSpec, Value, ValueArray, act
-from tanglekit.states import TangleState, from_region, validate
+from tanglekit.lomonoid import MonoidSpec, Value, ValueArray
+from tanglekit.states import TangleState
+
+
+def act(matrix: BitMatrix, values: Sequence[Value], spec: MonoidSpec) -> ValueArray:
+    """Coordinatewise join of selected entries: out[i] = join over j with
+    matrix[i,j]=1 of values[j], zero when the row is empty."""
+    if matrix.cols != len(values):
+        raise ValueError(
+            f"act: matrix has {matrix.cols} columns, array has {len(values)}"
+        )
+    join = spec.join
+    out = []
+    for b in matrix.bits:
+        acc = spec.zero
+        while b:
+            low = b & -b
+            acc = join(acc, values[low.bit_length() - 1])
+            b ^= low
+        out.append(acc)
+    return tuple(out)
 
 
 def cup_value(state: TangleState, k: int) -> Value:
@@ -59,13 +80,114 @@ def cup_spec(state: TangleState, k: int) -> TangleState:
 
 # -- state helpers -------------------------------------------------------
 
+def from_region(region: BitMatrix, values, spec: MonoidSpec) -> TangleState:
+    """The state of a region matrix that is a partition: each interval
+    is labelled by the first interval of its region (its row's lowest
+    bit)."""
+    labels = tuple((row & -row).bit_length() - 1 for row in region.bits)
+    return TangleState(region.rows, labels, tuple(values), spec)
+
+
+def property_failures(region: BitMatrix, values, spec: MonoidSpec) -> list:
+    """Every property of E1-E3, T1-T3, EC and VC that a square region
+    matrix and its values violate, as (name, 1-based witness), each
+    checked on the matrix as the paper states it."""
+    n = region.rows
+    failures: list[tuple[str, tuple]] = []
+
+    ident = identity(n)
+    if not ident <= region:
+        i = next(i for i in range(n) if region.entry(i, i) == 0)
+        failures.append(("E1", (i + 1, i + 1)))
+
+    rt = region.transpose()
+    if rt != region:
+        i, j = next(
+            (i, j) for i in range(n) for j in range(n)
+            if region.entry(i, j) != rt.entry(i, j)
+        )
+        failures.append(("E2", (i + 1, j + 1)))
+
+    sq = region @ region
+    if sq != region:
+        i, j = next(
+            (i, j) for i in range(n) for j in range(n)
+            if region.entry(i, j) != sq.entry(i, j)
+        )
+        failures.append(("E3", (i + 1, j + 1)))
+
+    if not region <= checkerboard(n, n):
+        i, j = next(
+            (i, j) for i in range(n) for j in range(n)
+            if region.entry(i, j) and (i - j) % 2
+        )
+        failures.append(("T1", (i + 1, j + 1)))
+
+    # T2: quadruple loop, pruned on the two premise entries.
+    done = False
+    for a in range(n):
+        if done:
+            break
+        for c in range(a, n):
+            if not region.entry(a, c):
+                continue
+            for b in range(a, c + 1):
+                for d in range(c, n):
+                    if t2_violated(region, a, b, c, d):
+                        failures.append(("T2", (a + 1, b + 1, c + 1, d + 1)))
+                        done = True
+                        break
+                if done:
+                    break
+            if done:
+                break
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not region.entry(a, b):
+                continue
+            if region.entry(a + 1, b - 1):
+                continue
+            if any(region.entry(a, g) for g in range(a + 1, b)):
+                continue
+            failures.append(("T3", (a + 1, b + 1)))
+            break
+        else:
+            continue
+        break
+
+    fixed = act(region, values, spec)
+    if fixed != tuple(values):
+        i = next(i for i in range(n) if fixed[i] != values[i])
+        failures.append(("EC", (i + 1,)))
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if region.entry(i, j) and values[i] != values[j]:
+                failures.append(("VC", (i + 1, j + 1)))
+                break
+        else:
+            continue
+        break
+
+    return failures
+
+
+def t2_violated(region: BitMatrix, a: int, b: int, c: int, d: int) -> bool:
+    """Whether 0-based a <= b <= c <= d break T2:
+    R[a,c] R[b,d] <= R[a,b] R[b,c] R[c,d] fails."""
+    return bool(region.entry(a, c) and region.entry(b, d)) and not (
+        region.entry(a, b) and region.entry(b, c) and region.entry(c, d)
+    )
+
+
 def is_valid(region: BitMatrix, values, spec: MonoidSpec) -> bool:
-    """Whether `validate` accepts the region matrix and values."""
-    try:
-        validate(region, values, spec)
-    except ValueError:
-        return False
-    return True
+    """Whether a region matrix and values form a state, by the paper's
+    properties."""
+    return (
+        region.is_square() and region.rows == len(values) >= 1
+        and not property_failures(region, tuple(values), spec)
+    )
 
 
 def ends_connected(state: TangleState) -> bool:
@@ -142,6 +264,21 @@ def unit_entry(n: int, a: int, b: int) -> BitMatrix:
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"entry ({a},{b}) outside 1..{n}")
     return BitMatrix(n, n, tuple((1 << (b - 1)) if i == a - 1 else 0 for i in range(n)))
+
+
+def checkerboard(rows: int, cols: int) -> BitMatrix:
+    """Ones exactly where i-j is even (1-based), i.e. the parity mask
+    that any region-connectivity matrix must respect."""
+    if rows < 1 or cols < 1:
+        raise ValueError("checkerboard needs positive dimensions")
+    even = 0
+    odd = 0
+    for j in range(cols):
+        if j % 2 == 0:
+            even |= 1 << j
+        else:
+            odd |= 1 << j
+    return BitMatrix(rows, cols, tuple(even if i % 2 == 0 else odd for i in range(rows)))
 
 
 def masked_transfer(n: int, k: int) -> BitMatrix:

@@ -25,6 +25,7 @@ from tanglekit.states import random_state
 
 from conftest import STATE_WIDTHS, dyck_corpus
 from operator_spec import (
+    checkerboard,
     encircle_state,
     inner_embed,
     is_valid,
@@ -173,10 +174,10 @@ def test_c03_boolean_identities():
     for l in range(1, 13):
         for m in range(1, 13):
             for n in range(1, 13):
-                prod = bm.checkerboard(l, m) @ bm.checkerboard(m, n)
-                assert prod <= bm.checkerboard(l, n)
+                prod = checkerboard(l, m) @ checkerboard(m, n)
+                assert prod <= checkerboard(l, n)
                 if m > 1:
-                    assert prod == bm.checkerboard(l, n)
+                    assert prod == checkerboard(l, n)
                 checks += 1
     report("03 boolean-identities", f"{checks} identities, n <= 12")
 

@@ -9,6 +9,7 @@ from tanglekit.boolmat import BitMatrix
 
 from operator_spec import (
     boolean_power,
+    checkerboard,
     flank_link,
     inner_embed,
     masked_transfer,
@@ -214,11 +215,11 @@ class TestBuilders:
         assert outer_corners(3).to_lines() == ["101", "000", "101"]
 
     def test_checkerboard(self):
-        assert bm.checkerboard(3, 3).to_lines() == ["101", "010", "101"]
-        assert bm.checkerboard(2, 4).to_lines() == ["1010", "0101"]
+        assert checkerboard(3, 3).to_lines() == ["101", "010", "101"]
+        assert checkerboard(2, 4).to_lines() == ["1010", "0101"]
 
     def test_scalar_extraction(self):
-        r = bm.checkerboard(3, 3)
+        r = checkerboard(3, 3)
         e1 = unit_column(3, 1)
         e3 = unit_column(3, 3)
         assert scalar_bit(e1.transpose() @ r @ e3) == 1

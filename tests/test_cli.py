@@ -169,6 +169,16 @@ class TestExitCodes:
         code, out, _ = run(["equiv", nest(11), nest(11)])
         assert code == 0 and out == "EQUIVALENT 9737333 9737333\n"
 
+    def test_value_past_the_int_str_limit_is_printed_in_hex(self):
+        # 620 depth-11 towers side by side have the value 9737333**620,
+        # 4,340 digits: past Python's int-to-str limit, not bad input.
+        word = nest(11) * 620
+        value = hex(9737333**620)
+        code, out, err = run(["equiv", word, word])
+        assert (code, out, err) == (0, f"EQUIVALENT {value} {value}\n", "")
+        code, out, err = run(["eval", word, "--monoid", "prime"])
+        assert (code, out, err) == (0, f"width 1 values ({value})\n", "")
+
     def test_help_is_zero(self):
         code, _, _ = run(["--help"])
         assert code == 0

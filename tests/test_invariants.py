@@ -284,6 +284,12 @@ class TestEquivalent:
         with pytest.raises(ValueError, match=r"^word is not closed: final width 3$"):
             equivalent(around_21, (Generator("cap", 1, 2),))
 
+    def test_value_past_the_int_str_limit(self):
+        # 2**15000 has 4,516 digits, past Python's int-to-str limit.
+        row = CIRCLE * 15000
+        same, (ra, rb) = equivalent(row, row)
+        assert same and ra.value == rb.value == hex(2**15000)
+
     def test_circle_count(self):
         assert circle_count(HUMP) == 1
         assert circle_count(SIDE) == 2

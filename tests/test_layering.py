@@ -75,6 +75,22 @@ def test_operators_work_on_labels_not_matrices():
     assert "boolmat" not in imported_package_modules(syntax_tree("operators"))
 
 
+def test_values_know_no_matrices():
+    assert "boolmat" not in imported_package_modules(syntax_tree("lomonoid"))
+
+
+def test_states_take_only_bitmatrix_from_boolmat():
+    # A state checks itself on its labels; the matrix is only a view.
+    taken = [
+        (node.module, alias.name)
+        for node in ast.walk(syntax_tree("states"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if "boolmat" in (node.module, alias.name)
+    ]
+    assert taken == [("boolmat", "BitMatrix")]
+
+
 def test_only_words_spells_rewrite_formulas():
     imported = {
         alias.name

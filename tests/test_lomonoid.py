@@ -7,14 +7,13 @@ import pytest
 from tanglekit import boolmat as bm
 from tanglekit.boolmat import BitMatrix
 from tanglekit.lomonoid import (
-    act,
     axiom_failures,
     count_monoid,
     lattice_monoid,
     prime_monoid,
 )
 
-from operator_spec import array_leq, join_arrays, masked_transfer, oplus_arrays
+from operator_spec import act, array_leq, join_arrays, masked_transfer, oplus_arrays
 
 
 def diamond():

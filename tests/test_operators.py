@@ -23,7 +23,6 @@ from tanglekit.operators import (
 )
 from tanglekit.states import (
     TangleState,
-    from_region,
     random_state,
     trivial,
     validate,
@@ -35,6 +34,7 @@ from operator_spec import (
     cup_value,
     encircle_state,
     ends_connected,
+    from_region,
     is_valid,
 )
 

@@ -1,5 +1,6 @@
 """State validation, the trivial state, and random generation."""
 
+import itertools
 import random
 
 import pytest
@@ -7,14 +8,16 @@ import pytest
 from tanglekit import boolmat as bm
 from tanglekit.boolmat import BitMatrix
 from tanglekit.lomonoid import count_monoid, prime_monoid
+from tanglekit.operators import cup
 from tanglekit.states import (
     StateValidationError,
+    TangleState,
     random_state,
     trivial,
     validate,
 )
 
-from operator_spec import ends_connected, is_valid
+from operator_spec import ends_connected, is_valid, property_failures, t2_violated
 
 COUNT = count_monoid()
 PRIME = prime_monoid()
@@ -94,6 +97,114 @@ class TestValidate:
             validate(bm.zero(2, 3), (0, 0), COUNT)
         with pytest.raises(ValueError):
             validate(bm.identity(2), (0,), COUNT)
+
+    def test_reads_no_matrix_entries(self, monkeypatch):
+        # A valid matrix is checked on its rows and then on its labels:
+        # no entry, product or transpose is taken, which is what keeps
+        # the check linear in the rows.
+        calls = []
+
+        def counted(name):
+            method = getattr(BitMatrix, name)
+
+            def call(*args):
+                calls.append(name)
+                return method(*args)
+
+            return call
+
+        for name in ("entry", "__matmul__", "transpose"):
+            monkeypatch.setattr(BitMatrix, name, counted(name))
+        for caps in (1000, 10000):  # caps side by side: widths 2,001 and 20,001
+            labels = (0,) + tuple(label for i in range(1, caps + 1) for label in (i, 0))
+            state = TangleState(len(labels), labels, (0,) * len(labels), COUNT)
+            assert validate(state.region, state.values, COUNT) == state
+        assert calls == []
+
+
+def set_partitions(n):
+    """Every partition of n intervals, as labels numbered in order of
+    first occurrence."""
+    def grow(prefix, top):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for label in range(top + 2):
+            yield from grow(prefix + (label,), max(top, label))
+    return grow((0,), 0)
+
+
+def validate_failures(region, values):
+    try:
+        validate(region, values, COUNT)
+    except StateValidationError as exc:
+        return exc.failures
+    return []
+
+
+class TestAgainstSpec:
+    """`validate` checks E1-E3 on the rows and the rest on labels; the
+    paper's checks on the matrix, `property_failures`, are its spec."""
+
+    def test_every_partition_to_width_seven(self):
+        rng = random.Random(17)
+        cases = 0
+        for n in range(1, 8):
+            for labels in set_partitions(n):
+                masks = {}
+                for i, label in enumerate(labels):
+                    masks[label] = masks.get(label, 0) | 1 << i
+                region = BitMatrix(n, n, tuple(masks[label] for label in labels))
+                for values in ((0,) * n, tuple(rng.randrange(2) for _ in range(n))):
+                    want = property_failures(region, values, COUNT)
+                    got = validate_failures(region, values)
+                    assert [name for name, _ in got] == [name for name, _ in want], labels
+                    for (name, at), (_, spec_at) in zip(got, want):
+                        if name == "T2":
+                            assert t2_violated(region, *(i - 1 for i in at)), (labels, at)
+                        else:
+                            assert at == spec_at, (labels, values, name)
+                    cases += 1
+        assert cases == 2 * 1155  # the Bell numbers 1, 2, 5, 15, 52, 203, 877
+
+    def test_matrices_that_are_not_partitions(self):
+        # Every 0/1 matrix to width 3, and a seeded sample at widths 4-6.
+        rng = random.Random(29)
+        matrices = [
+            BitMatrix(n, n, rows)
+            for n in range(1, 4)
+            for rows in itertools.product(range(1 << n), repeat=n)
+        ]
+        matrices += [
+            BitMatrix(n, n, tuple(rng.randrange(1 << n) for _ in range(n)))
+            for n in range(4, 7) for _ in range(500)
+        ]
+        matrix_names = {"E1", "E2", "E3", "T1"}
+        for region in matrices:
+            n = region.rows
+            for values in ((0,) * n, tuple(rng.randrange(2) for _ in range(n))):
+                want = property_failures(region, values, COUNT)
+                got = validate_failures(region, values)
+                assert [f for f in got if f[0] in matrix_names] == [
+                    f for f in want if f[0] in matrix_names
+                ], region
+                if any(name in ("E1", "E2", "E3") for name, _ in want):
+                    assert {name for name, _ in got} <= matrix_names, region
+
+
+class TestHandBuilt:
+    """The constructor checks every state, so one built by hand is
+    refused before an operator can meet it."""
+
+    def test_interleaved_regions(self):
+        with pytest.raises(StateValidationError) as excinfo:
+            cup(TangleState(5, (0, 1, 0, 1, 0), (0,) * 5, COUNT), 3)
+        assert failed_names(excinfo) == ["T2"]
+
+    def test_shape(self):
+        with pytest.raises(ValueError) as excinfo:
+            TangleState(2, (0,), (0,), COUNT)
+        assert not isinstance(excinfo.value, StateValidationError)
 
 
 class TestTrivial:
