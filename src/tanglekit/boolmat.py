@@ -1,17 +1,15 @@
-"""Dense matrices over the two-element Boolean semiring (1+1=1).
+"""Matrices with entries in {0, 1}, as values.
 
-A BitMatrix stores each row as a Python int used as a bitmask, so the
-whole module is pure arithmetic on small ints; matrices at the scales we
-care about (side <= 256) stay fast without any numeric dependency.
+A BitMatrix stores each row as a Python int used as a bitmask (bit j of
+row i is entry (i, j), 0-based).  The library builds one only as a view:
+`TangleState.region` reads a state's labels as the paper's region
+matrix, and `states.validate` takes one.  Nothing in the library
+multiplies matrices; the Boolean algebra of the paper (sum, product,
+transpose, order and the structured builders) is the test
+specification, in tests/boolean_algebra.py.
 
-Conventions:
-  * entry(i, j) is 0-based;
-  * the structured builders (insert_map, single_diag, ...) take the
-    1-based slot parameters that the rest of the library uses, because a
-    "slot k" with 2 <= k <= n+1 is domain vocabulary, not an array index.
-
-All values are immutable after construction; operations return new
-matrices and may run concurrently on shared inputs.
+A BitMatrix is immutable after construction, so it may be shared
+between threads.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ class BitMatrix:
 
     # -- construction ------------------------------------------------
 
-    @staticmethod
-    def from_rows(rows: list[list[int]]) -> "BitMatrix":
+    @classmethod
+    def from_rows(cls, rows: list[list[int]]) -> "BitMatrix":
         n = len(rows)
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
@@ -52,7 +50,7 @@ class BitMatrix:
                     raise ValueError(f"entry {v!r} is not a bit")
                 acc |= v << j
             bits.append(acc)
-        return BitMatrix(n, m, tuple(bits))
+        return cls(n, m, tuple(bits))
 
     # -- basic queries -----------------------------------------------
 
@@ -83,120 +81,6 @@ class BitMatrix:
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols}: {'|'.join(self.to_lines())})"
 
-    # -- semiring operations -----------------------------------------
-
-    def _require_same_shape(self, other: "BitMatrix", op: str) -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"{op}: shape mismatch {self.rows}x{self.cols} vs "
-                f"{other.rows}x{other.cols}"
-            )
-
-    def __add__(self, other: "BitMatrix") -> "BitMatrix":
-        """Entrywise Boolean OR."""
-        self._require_same_shape(other, "add")
-        return BitMatrix(
-            self.rows, self.cols,
-            tuple(a | b for a, b in zip(self.bits, other.bits)),
-        )
-
-    def __sub__(self, other: "BitMatrix") -> "BitMatrix":
-        """Entrywise 'minus': 1 exactly where self has 1 and other has 0."""
-        self._require_same_shape(other, "minus")
-        return BitMatrix(
-            self.rows, self.cols,
-            tuple(a & ~b for a, b in zip(self.bits, other.bits)),
-        )
-
-    def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
-        """Boolean matrix product (sum of products with 1+1=1)."""
-        if self.cols != other.rows:
-            raise ValueError(
-                f"mul: inner dimension mismatch {self.rows}x{self.cols} @ "
-                f"{other.rows}x{other.cols}"
-            )
-        out = []
-        obits = other.bits
-        for b in self.bits:
-            acc = 0
-            while b:
-                low = b & -b
-                acc |= obits[low.bit_length() - 1]
-                b ^= low
-            out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
-
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            acc = 0
-            for i, b in enumerate(self.bits):
-                acc |= ((b >> j) & 1) << i
-            cols.append(acc)
-        return BitMatrix(self.cols, self.rows, tuple(cols))
-
-    def __le__(self, other: "BitMatrix") -> bool:
-        """Natural partial order: every entry of self <= entry of other."""
-        self._require_same_shape(other, "leq")
-        return all(a | b == b for a, b in zip(self.bits, other.bits))
-
-    def __ge__(self, other: "BitMatrix") -> bool:
-        return other.__le__(self)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-
-# -- structured matrices ----------------------------------------------
-#
-# Slot parameters below are 1-based.  insert_map(n, k) is only defined
-# for 2 <= k <= n+1: the inserted pair always has an interval on each
-# side.  All builders validate eagerly and never clamp.
-
-
-def identity(n: int) -> BitMatrix:
-    return BitMatrix(n, n, tuple(1 << i for i in range(n)))
-
-
-def zero(rows: int, cols: int) -> BitMatrix:
-    return BitMatrix(rows, cols, (0,) * rows)
-
-
-def _check_slot(n: int, k: int) -> None:
-    if n < 1:
-        raise ValueError(f"width {n} must be >= 1")
-    if not 2 <= k <= n + 1:
-        raise ValueError(f"slot k={k} outside 2..{n + 1} for width {n}")
-
-
-def insert_map(n: int, k: int) -> BitMatrix:
-    """(n+2) x n map sending old interval j to its place after two new
-    intervals are inserted so that the new region sits at slot k.
-
-    Ones at (j, j) for j < k and at (j+2, j) for j >= k-1 (1-based).
-    """
-    _check_slot(n, k)
-    bits = []
-    for i in range(n + 2):
-        if i < k - 1:
-            bits.append(1 << i)
-        elif i >= k:
-            bits.append(1 << (i - 2))
-        else:
-            bits.append(0)
-    return BitMatrix(n + 2, n, tuple(bits))
-
-
-def single_diag(n: int, k: int) -> BitMatrix:
-    """n x n matrix with a single 1 on the diagonal at (k, k), 1-based."""
-    if not 1 <= k <= n:
-        raise ValueError(f"diagonal position k={k} outside 1..{n}")
-    return BitMatrix(n, n, tuple(1 << i if i == k - 1 else 0 for i in range(n)))
-
-
-def reversal(n: int) -> BitMatrix:
-    """Anti-diagonal n x n matrix; conjugating by it reverses interval
-    order (its square is the identity)."""
-    if n < 1:
-        raise ValueError("reversal needs n >= 1")
-    return BitMatrix(n, n, tuple(1 << (n - 1 - i) for i in range(n)))

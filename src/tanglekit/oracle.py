@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalInvariantError
 from .lomonoid import count_monoid, prime_monoid
 from .rewriting import (
     Forest,
@@ -52,7 +53,9 @@ class _UnionFind:
 
 def trace_diagram(word) -> Forest:
     """Sweep a closed word into its nesting forest.  A symbol word is
-    decoded first, so an invalid one raises ParseError.
+    decoded first, so an invalid one raises ParseError.  A closed word
+    leaves no live strand and no orphaned curve; either one is an
+    InternalInvariantError.
 
     Two passes.  The sweep itself records, for each curve closure, a
     snapshot of the strand ids strictly left of the closing point; the
@@ -96,7 +99,7 @@ def trace_diagram(word) -> Forest:
             del strands[at:at + 2]
 
     if strands:
-        raise ValueError("sweep ended with live strands; word is not closed")
+        raise InternalInvariantError("sweep ended with live strands on a closed word")
 
     children: dict[int, list] = {}
     roots: list[tuple] = []
@@ -109,7 +112,7 @@ def trace_diagram(word) -> Forest:
         else:
             children.setdefault(owner, []).append(tree)
     if children:
-        raise ValueError("sweep left orphaned curves; word is not closed")
+        raise InternalInvariantError("sweep left orphaned curves on a closed word")
     return tuple(roots)
 
 

@@ -296,7 +296,9 @@ def _rewrites(word: list):
 
 def to_forest(sym) -> Forest:
     """Parse a normal word as nesting structure: (-2,0) opens a circle,
-    (2,0) closes it; nesting of the parentheses is containment."""
+    (2,0) closes it; nesting of the parentheses is containment.  A
+    valid word of (+-2,0) symbols is balanced, so an unbalanced one is
+    an InternalInvariantError."""
     require_valid(sym)
     if any(d != 0 for _, d in sym):
         raise ValueError("to_forest needs a normal word of (+-2,0) symbols")
@@ -307,10 +309,10 @@ def to_forest(sym) -> Forest:
         else:
             children = stack.pop()
             if not stack:
-                raise ValueError("unbalanced word")
+                raise InternalInvariantError("unbalanced word")
             stack[-1].append(tuple(children))
     if len(stack) != 1:
-        raise ValueError("unbalanced word")
+        raise InternalInvariantError("unbalanced word")
     return tuple(stack[0])
 
 

@@ -29,7 +29,8 @@ runs these checks, so an invalid state cannot be built and the
 operators need no checks of their own.  `validate` takes a matrix:
 it checks E1-E3 on the bitmask rows (row i must equal the set of rows
 that share its lowest bit), then builds the state.  A matrix that is
-not a partition reports E1-E3 and T1, read off its rows.  Every
+not a partition reports E1-E3 and T1; the transpose and the Boolean
+square they need are read off the bitmask rows too.  Every
 violated property is reported with a witness, not just the first, so
 shrinking diagnostics stay complete.  The paper's checks on the matrix
 itself, `property_failures` in tests/operator_spec.py, are the
@@ -42,6 +43,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .boolmat import BitMatrix
 from .lomonoid import MonoidSpec, ValueArray, format_value
@@ -155,14 +158,17 @@ def _label_failures(labels, values, spec: MonoidSpec) -> list:
 
 def _matrix_failures(region: BitMatrix) -> list:
     """E1, E2, E3 and T1 of a square matrix, each at its first entry in
-    row-major order, read off the rows."""
+    row-major order, read off the rows: row j of the transpose gathers
+    bit j of every row, and row i of the Boolean square joins the rows
+    that row i selects."""
     bits, n = region.bits, region.rows
     odd_from = [sum(1 << j for j in range(p, n, 2)) for p in (1, 0)]  # by i % 2
-    square = region @ region
+    transpose = [sum((row >> j & 1) << i for i, row in enumerate(bits)) for j in range(n)]
+    square = [reduce(or_, (bits[j] for j in range(n) if row >> j & 1), 0) for row in bits]
     bad_rows = [
         ("E1", [~row & (1 << i) for i, row in enumerate(bits)]),
-        ("E2", [a ^ b for a, b in zip(bits, region.transpose().bits)]),
-        ("E3", [a ^ b for a, b in zip(bits, square.bits)]),
+        ("E2", [a ^ b for a, b in zip(bits, transpose)]),
+        ("E3", [a ^ b for a, b in zip(bits, square)]),
         ("T1", [row & odd_from[i % 2] for i, row in enumerate(bits)]),
     ]
     failures = []

@@ -140,14 +140,6 @@ def is_closed(word) -> bool:
 
 # -- symbol codec -------------------------------------------------------
 
-def check_symbols(sym) -> None:
-    for i, (c, d) in enumerate(sym):
-        if c not in (2, -2):
-            raise ParseError(f"symbol {i + 1}: first component must be +-2", i + 1)
-        if d % 2:
-            raise ParseError(f"symbol {i + 1}: d={d} must be even", i + 1)
-
-
 def check_validity(sym) -> int | None:
     """None if the word satisfies the validity condition, else the
     0-based index of the first symbol violating either bound."""
@@ -170,7 +162,11 @@ def out_of_bounds(c: int, d: int, pre: int, total: int) -> bool:
 
 
 def require_valid(sym) -> None:
-    check_symbols(sym)
+    for i, (c, d) in enumerate(sym):
+        if c not in (2, -2):
+            raise ParseError(f"symbol {i + 1}: first component must be +-2", i + 1)
+        if d % 2:
+            raise ParseError(f"symbol {i + 1}: d={d} must be even", i + 1)
     bad = check_validity(sym)
     if bad is not None:
         raise ParseError(

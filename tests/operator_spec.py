@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from tanglekit.boolmat import BitMatrix, identity, insert_map, single_diag
 from tanglekit.errors import InternalInvariantError
 from tanglekit.lomonoid import MonoidSpec, Value, ValueArray
 from tanglekit.states import TangleState
+
+from boolean_algebra import Matrix as BitMatrix, identity, insert_map, lift, single_diag
 
 
 def act(matrix: BitMatrix, values: Sequence[Value], spec: MonoidSpec) -> ValueArray:
@@ -92,6 +93,7 @@ def property_failures(region: BitMatrix, values, spec: MonoidSpec) -> list:
     """Every property of E1-E3, T1-T3, EC and VC that a square region
     matrix and its values violate, as (name, 1-based witness), each
     checked on the matrix as the paper states it."""
+    region = lift(region)
     n = region.rows
     failures: list[tuple[str, tuple]] = []
 

@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from tanglekit import boolmat as bm
 from tanglekit import words
 from tanglekit.invariants import forest_value, word_value
 from tanglekit.lomonoid import axiom_failures, count_monoid, prime_monoid
@@ -23,6 +22,7 @@ from tanglekit.oracle import (
 from tanglekit.rewriting import normalize, to_forest
 from tanglekit.states import random_state
 
+import boolean_algebra as bm
 from conftest import STATE_WIDTHS, dyck_corpus
 from operator_spec import (
     checkerboard,

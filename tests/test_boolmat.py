@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from tanglekit import boolmat as bm
-from tanglekit.boolmat import BitMatrix
-
+import boolean_algebra as bm
+from boolean_algebra import Matrix as BitMatrix
 from operator_spec import (
     boolean_power,
     checkerboard,

@@ -11,6 +11,7 @@ import sys
 
 import tanglekit
 from tanglekit import invariants, operators, rewriting, words
+from tanglekit.boolmat import BitMatrix
 
 PACKAGE = pathlib.Path(tanglekit.__file__).parent
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -89,6 +90,20 @@ def test_states_take_only_bitmatrix_from_boolmat():
         if "boolmat" in (node.module, alias.name)
     ]
     assert taken == [("boolmat", "BitMatrix")]
+
+
+def test_the_library_multiplies_no_matrices():
+    # BitMatrix is a value; the paper's Boolean algebra is the test
+    # specification in tests/boolean_algebra.py.
+    matmuls = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(syntax_tree(path.stem))
+        if isinstance(node, ast.MatMult)
+    ]
+    assert matmuls == []
+    algebra = {"__add__", "__sub__", "__matmul__", "transpose", "__le__", "__ge__"}
+    assert sorted(algebra & vars(BitMatrix).keys()) == []
 
 
 def test_only_words_spells_rewrite_formulas():

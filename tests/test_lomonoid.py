@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from tanglekit import boolmat as bm
-from tanglekit.boolmat import BitMatrix
 from tanglekit.lomonoid import (
     axiom_failures,
     count_monoid,
@@ -13,6 +11,8 @@ from tanglekit.lomonoid import (
     prime_monoid,
 )
 
+import boolean_algebra as bm
+from boolean_algebra import Matrix as BitMatrix
 from operator_spec import act, array_leq, join_arrays, masked_transfer, oplus_arrays
 
 

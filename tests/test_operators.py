@@ -6,7 +6,6 @@ from collections import Counter
 
 import pytest
 
-from tanglekit import boolmat as bm
 from tanglekit import operators, words
 from tanglekit.invariants import circle_count, equivalent, word_value
 from tanglekit.boolmat import BitMatrix
@@ -28,6 +27,7 @@ from tanglekit.states import (
     validate,
 )
 
+import boolean_algebra as bm
 from operator_spec import (
     cap_spec,
     cup_spec,

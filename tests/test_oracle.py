@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from tanglekit import words
-from tanglekit.errors import ParseError
+from tanglekit import oracle, words
+from tanglekit.errors import InternalInvariantError, ParseError
 from tanglekit.invariants import circle_count, forest_value, word_value
 from tanglekit.lomonoid import count_monoid, prime_monoid
 from tanglekit.oracle import (
@@ -54,6 +54,20 @@ class TestTraceDiagram:
 
         with pytest.raises(ValueError):
             trace_diagram((Generator("cap", 1, 2),))
+
+    def test_live_strands_are_internal(self, monkeypatch):
+        # The closedness check comes first, so a sweep that ends with a
+        # live strand is a bug, not bad input.
+        from tanglekit.operators import Generator
+
+        monkeypatch.setattr(oracle, "width_profile", lambda word: [1, 1])
+        with pytest.raises(InternalInvariantError, match="live strands"):
+            trace_diagram((Generator("cap", 1, 2),))
+
+    def test_orphaned_curves_are_internal(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_innermost_enclosing", lambda left, uf: -1)
+        with pytest.raises(InternalInvariantError, match="orphaned curves"):
+            trace_diagram(((-2, 0), (2, 0)))
 
     def test_symbol_words_are_decoded(self, word_corpus):
         exhaustive, randoms = word_corpus

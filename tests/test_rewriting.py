@@ -4,7 +4,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
-from itertools import count
+from itertools import count, product
 
 import pytest
 
@@ -396,6 +396,23 @@ class TestForests:
     def test_non_normal_rejected(self):
         with pytest.raises(ValueError):
             to_forest(HUMP)
+
+    def test_valid_normal_words_are_balanced(self):
+        # So the "unbalanced word" raises need a bug to be reached.
+        valid = [
+            sym
+            for length in range(15)
+            for sym in product(((-2, 0), (2, 0)), repeat=length)
+            if words.check_validity(sym) is None
+        ]
+        assert len(valid) == 626  # Catalan numbers of 0..7 pairs
+        assert all(len(to_forest(sym)) <= len(sym) for sym in valid)
+
+    @pytest.mark.parametrize("sym", [((2, 0),), ((-2, 0),)])
+    def test_unbalanced_word_is_internal(self, sym, monkeypatch):
+        monkeypatch.setattr(rewriting, "require_valid", lambda sym: None)
+        with pytest.raises(InternalInvariantError, match="unbalanced word"):
+            to_forest(sym)
 
     def test_canonical_strings(self):
         assert forest_string(((),)) == "()"
