@@ -24,10 +24,10 @@ import functools
 import random
 import sys
 
-from . import invariants, rewriting, oracle, states, words
+from . import invariants, rewriting, oracle, words
 from .errors import InternalInvariantError, ResourceLimitError
 from .lomonoid import MonoidSpec, axiom_failures, count_monoid, prime_monoid
-from .operators import cap, cup, eval_steps, eval_word, mirror
+from .operators import cap, cup, eval_steps, eval_word, mirror, random_state
 from .states import trivial
 from .words import format_sym, parse_word, to_gen_word, to_sym_word
 
@@ -247,7 +247,7 @@ def _selftest_relations(seed: int, trials: int) -> int:
     for _ in range(trials):
         spec = prime_monoid() if rng.randrange(2) else count_monoid()
         n = rng.choice((1, 3, 5))
-        state = states.random_state(n, rng, spec)
+        state = random_state(n, rng, spec)
         k = rng.randrange(2, n + 2)
         up = cap(state, k)
         # the undoing cup must itself be a legal slot on width n+2

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import words
 from .lomonoid import MonoidSpec, Value, count_monoid, format_value, prime_monoid
-from .operators import closed_values, eval_closed
+from .operators import closed_values
 from .primes import nth_prime  # noqa: F401  (re-exported)
 from .rewriting import forest_value, normalize, to_forest
 
@@ -28,7 +28,8 @@ from .rewriting import forest_value, normalize, to_forest
 def word_value(word, spec: MonoidSpec) -> Value:
     """Invariant by full operator evaluation.  Accepts a generator word
     or a symbol word; the word must be closed."""
-    return eval_closed(word, spec)
+    (value,) = closed_values((word,), spec)
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ def invariant_reports(word, spec: MonoidSpec) -> tuple[InvariantReport, Invarian
     Disagreement would falsify the representation; it is reported (and
     mapped to exit code 2 by the CLI), never hidden.
     """
-    direct = eval_closed(word, spec)
+    direct = word_value(word, spec)
     normal, _ = normalize(word if words.is_sym_word(word) else words.encode(word))
     recursive = forest_value(to_forest(normal), spec)
     agree = direct == recursive

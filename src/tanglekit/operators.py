@@ -26,15 +26,14 @@ merging cup scans the list, with `index`, to relabel one of the two
 regions.  Their input is a valid state, since a TangleState checks
 itself when it is built.  The cup kernel reads x off the labels: the
 flanking intervals share a region exactly when they carry one label.
-`eval_word` and `closed_values` (behind `eval_closed`) check the whole
-word first, list its generators as (is_cap, slot) pairs and run the
-kernels over them on one label list and one dict, so a word adds O(1)
-Python steps per generator to the kernels' cost; `closed_values` checks
-every word, closedness included, before it evaluates any.  The public
-`cap` and `cup` also pay a copy and a new TangleState, which checks
-itself in O(w) Python steps.  A closed symbol word is checked by the
-validity condition and needs no Generator: at incoming width w, (2,d) is
-a cap at slot (d+w+3)/2 and (-2,d) a cup at slot (d+w+1)/2.  With
+`eval_word` and `closed_values` take a word of either form as the
+checked (is_cap, slot) steps of words.slots and words.closed_slots, and
+run the kernels over them on one label list and one dict, so a word
+adds O(1) Python steps per generator to the kernels' cost and a symbol
+word needs no Generator; `closed_values` checks every word, closedness
+included, before it evaluates any.  The public `cap` and `cup` also pay
+a copy and a new TangleState, which checks itself in O(w) Python steps.
+`random_state` walks the public operators from the trivial state.  With
 0-based intervals: a cap splits interval k-2 into k-2, k-1 (a fresh
 label, the new region, valued zero) and k (the label of k-2 again); a
 cup folds intervals k-2 and k into one and drops k-1.  If k-2 and k
@@ -48,10 +47,12 @@ is the topmost piece of the diagram and is applied first.
 
 from __future__ import annotations
 
+import random
+
 from .lomonoid import MonoidSpec, Value
 from .states import TangleState, trivial
 from .words import Generator  # noqa: F401  (re-exported)
-from .words import is_sym_word, require_valid, width_profile
+from .words import closed_slots, slots, width_profile
 
 
 def _cap_into(labels: list, value: dict, k: int, fresh, zero: Value) -> None:
@@ -137,33 +138,12 @@ def eval_steps(word, start: TangleState):
     return steps()
 
 
-def _slots(word, width: int) -> list[tuple[bool, int]]:
-    """Check a word against the incoming width, then list its generators
-    as (is_cap, slot) pairs in the order they act, rightmost first.  A
-    generator word is checked by width_profile; a symbol word, which is
-    closed, by the validity condition, and it must start at width 1."""
-    if not is_sym_word(word):
-        width_profile(word, width)
-        return [(gen.kind == "cap", gen.k) for gen in reversed(word)]
-    if width != 1:
-        raise ValueError(f"a symbol word starts at width 1, not {width}")
-    require_valid(word)
-    slots = []
-    for c, d in reversed(word):
-        if c == 2:
-            slots.append((True, (d + width + 3) // 2))
-        else:
-            slots.append((False, (d + width + 1) // 2))
-        width += c
-    return slots
-
-
-def _run(slots, start: TangleState) -> TangleState:
+def _run(steps, start: TangleState) -> TangleState:
     """The state after the checked (is_cap, slot) steps, run on one
     label list and one region-value dict copied from start."""
     spec, fresh = start.spec, max(start.labels) + 1
     labels, value = list(start.labels), dict(zip(start.labels, start.values))
-    for is_cap, k in slots:
+    for is_cap, k in steps:
         if is_cap:
             _cap_into(labels, value, k, fresh, spec.zero)
             fresh += 1
@@ -174,26 +154,45 @@ def _run(slots, start: TangleState) -> TangleState:
 
 def eval_word(word, start: TangleState) -> TangleState:
     """The state after the whole word; one equal to start for the empty word."""
-    return _run(_slots(word, start.n), start)
+    return _run(slots(word, start.n), start)
 
 
 def closed_values(word_list, spec: MonoidSpec) -> list[Value]:
     """Evaluate closed words, generator or symbol form, on the trivial
     state and return each one's value.  Every word is checked before
     any is evaluated, so bad input wins over a resource limit."""
-    checked = []
-    for word in word_list:
-        checked.append(_slots(word, 1))
-        # A symbol word is closed by the validity condition; a generator
-        # word that passed the arity check ends at its leftmost factor.
-        if word and not is_sym_word(word) and word[0].out_width != 1:
-            raise ValueError(f"word is not closed: final width {word[0].out_width}")
+    checked = [closed_slots(word) for word in word_list]
     start = trivial(spec)
-    return [_run(slots, start).values[0] for slots in checked]
+    return [_run(steps, start).values[0] for steps in checked]
 
 
-def eval_closed(word, spec: MonoidSpec) -> Value:
-    """Evaluate a closed word on the trivial state and return the one
-    value of the resulting width-1 state."""
-    (value,) = closed_values((word,), spec)
-    return value
+def random_state(width: int, seed, spec: MonoidSpec) -> TangleState:
+    """Seeded random state of the given width, built geometrically: a
+    random walk of cap/cup applications from trivial(), sprinkled with
+    random region-value additions.  Only widths 1 + 2k are reachable.
+
+    `seed` may be an int or a random.Random.
+    """
+    if width < 1 or width % 2 == 0:
+        raise ValueError(f"width {width} is not reachable (need odd width >= 1)")
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+
+    state = trivial(spec)
+    state = add_value(state, spec.sample(rng))
+    drift = rng.randrange(0, 3)
+    target_peak = width + 2 * drift
+    # Climb with caps to a peak above the target, then randomly wander
+    # back down, keeping the width legal for a cup at every descent.
+    while state.n < target_peak:
+        k = rng.randrange(2, state.n + 2)
+        state = cap(state, k)
+        if rng.randrange(4) == 0:
+            state = add_value(state, spec.sample(rng))
+    while state.n > width:
+        if state.n + 2 <= target_peak and rng.randrange(3) == 0:
+            state = cap(state, rng.randrange(2, state.n + 2))
+        else:
+            state = cup(state, rng.randrange(2, state.n))
+        if rng.randrange(5) == 0:
+            state = add_value(state, spec.sample(rng))
+    return state

@@ -2,13 +2,15 @@
 forest enumeration.
 
 `trace_diagram` never touches the matrix representation: it sweeps the
-diagram top to bottom, maintaining the ordered list of live strands and
-a union-find over them, and reads the nesting forest straight off the
-geometry.  Containment is decided per closing row: the curves enclosing
-the closing point are exactly those crossing the row an odd number of
-times to its left, and the innermost such curve owns the new circle.
-Disagreement between this sweep and the rewriting pipeline localizes a
-bug to one side or the other, which is the whole point.
+diagram top to bottom, a cap or cup at each slot that words.closed_slots
+lists for a word of either form, maintaining the ordered list of live
+strands and a union-find over them, and reads the nesting forest
+straight off the geometry.  Containment is decided per closing row: the
+curves enclosing the closing point are exactly those crossing the row
+an odd number of times to its left, and the innermost such curve owns
+the new circle.  Disagreement between this sweep and the rewriting
+pipeline localizes a bug to one side or the other, which is the whole
+point.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .rewriting import (
     forest_value,
     to_forest,
 )
-from .words import decode, is_sym_word, width_profile
+from .words import closed_slots
 
 canonical = forest_string
 
@@ -52,8 +54,9 @@ class _UnionFind:
 
 
 def trace_diagram(word) -> Forest:
-    """Sweep a closed word into its nesting forest.  A symbol word is
-    decoded first, so an invalid one raises ParseError.  A closed word
+    """Sweep a closed word of either form into its nesting forest, cap
+    and cup at the slots of words.closed_slots, so an invalid or open
+    word raises ValueError before the sweep starts.  A closed word
     leaves no live strand and no orphaned curve; either one is an
     InternalInvariantError.
 
@@ -68,21 +71,14 @@ def trace_diagram(word) -> Forest:
     two arcs straddling the point may later merge into one curve whose
     crossings pair up.
     """
-    if is_sym_word(word):
-        word = decode(word)
-    profile = width_profile(word)
-    if profile[0] != 1 or profile[-1] != 1:
-        raise ValueError("trace_diagram needs a closed word")
-
     strands: list[int] = []
     uf = _UnionFind()
     closures: list[tuple[int, tuple[int, ...]]] = []  # (own id, left snapshot)
     fresh = 0
 
-    for pos in range(len(word) - 1, -1, -1):
-        gen = word[pos]
-        at = gen.k - 2  # the generator's two points sit at slots k-1, k
-        if gen.kind == "cap":
+    for is_cap, k in closed_slots(word):
+        at = k - 2  # the generator's two points sit at slots k-1, k
+        if is_cap:
             a, b = fresh, fresh + 1
             fresh += 2
             uf.add(a)

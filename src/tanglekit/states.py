@@ -41,7 +41,6 @@ Witness indices in failures are 1-based, matching slot conventions.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -205,37 +204,3 @@ def validate(region: BitMatrix, values, spec: MonoidSpec) -> TangleState:
 def trivial(spec: MonoidSpec) -> TangleState:
     """The width-1 state: one region holding the zero value."""
     return TangleState(1, (0,), (spec.zero,), spec)
-
-
-def random_state(width: int, seed, spec: MonoidSpec) -> TangleState:
-    """Seeded random state of the given width, built geometrically: a
-    random walk of cap/cup applications from trivial(), sprinkled with
-    random region-value additions.  Only widths 1 + 2k are reachable.
-
-    `seed` may be an int or a random.Random.
-    """
-    from . import operators  # deferred: operators imports this module
-
-    if width < 1 or width % 2 == 0:
-        raise ValueError(f"width {width} is not reachable (need odd width >= 1)")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-
-    state = trivial(spec)
-    state = operators.add_value(state, spec.sample(rng))
-    drift = rng.randrange(0, 3)
-    target_peak = width + 2 * drift
-    # Climb with caps to a peak above the target, then randomly wander
-    # back down, keeping the width legal for a cup at every descent.
-    while state.n < target_peak:
-        k = rng.randrange(2, state.n + 2)
-        state = operators.cap(state, k)
-        if rng.randrange(4) == 0:
-            state = operators.add_value(state, spec.sample(rng))
-    while state.n > width:
-        if state.n + 2 <= target_peak and rng.randrange(3) == 0:
-            state = operators.cap(state, rng.randrange(2, state.n + 2))
-        else:
-            state = operators.cup(state, rng.randrange(2, state.n))
-        if rng.randrange(5) == 0:
-            state = operators.add_value(state, spec.sample(rng))
-    return state

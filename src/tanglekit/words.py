@@ -19,6 +19,11 @@ given the incoming width w = 1 + (sum of c over the symbols to the
 right): (2,d) is a cap at slot (d+w+3)/2 and (-2,d) a cup at slot
 (d+w+1)/2, the k that solves symbol() for n = w (cap) or n = w-2 (cup).
 
+`slots` checks a word of either form and lists its (is_cap, slot)
+steps, by this inverse for symbols; `closed_slots` also checks that the
+word ends at width 1.  The operators, the sweep and the codec read
+words only through these two.
+
 Validity condition for a symbol word (c_1,d_1)...(c_m,d_m): for each i,
 with pre = sum of c_j over j < i and post = sum over j > i,
 
@@ -106,7 +111,12 @@ SymWord = tuple[Symbol, ...]
 GenWord = tuple[Generator, ...]
 
 
-# -- arities of generator words ----------------------------------------
+# -- the arity walker ----------------------------------------------------
+
+def _refuse_text(word) -> None:
+    if isinstance(word, str):
+        raise ParseError("a word given as text must be read with parse_word first")
+
 
 def width_profile(word, start: int | None = None) -> list[int]:
     """Widths seen while evaluating, top first: [start, ..., out(g_1)].
@@ -114,6 +124,7 @@ def width_profile(word, start: int | None = None) -> list[int]:
     top generator expects (1 for the empty word).  This is the one
     arity check: it raises on a mismatch, reporting the 1-based
     position."""
+    _refuse_text(word)
     if start is None:
         start = word[-1].in_width if word else 1
     widths = [start]
@@ -129,13 +140,42 @@ def width_profile(word, start: int | None = None) -> list[int]:
     return widths
 
 
-def is_closed(word) -> bool:
-    """Closed means the diagram starts and ends on no points (width 1)."""
-    try:
-        profile = width_profile(word)
-    except ParseError:
-        return False
-    return profile[0] == 1 and profile[-1] == 1
+def slots(word, width: int) -> list[tuple[bool, int]]:
+    """Check a word of either form against the incoming width, then list
+    its generators as (is_cap, slot) pairs in the order they act,
+    rightmost first.  A generator word is checked by width_profile; a
+    symbol word, which is closed, by the validity condition, and it must
+    start at width 1."""
+    if not is_sym_word(word):
+        width_profile(word, width)
+        return [(gen.kind == "cap", gen.k) for gen in reversed(word)]
+    if width != 1:
+        raise ValueError(f"a symbol word starts at width 1, not {width}")
+    require_valid(word)
+    steps = []
+    for c, d in reversed(word):
+        if c == 2:
+            steps.append((True, (d + width + 3) // 2))
+        else:
+            steps.append((False, (d + width + 1) // 2))
+        width += c
+    return steps
+
+
+def closed_slots(word) -> list[tuple[bool, int]]:
+    """The slots of a word that starts and ends at width 1.  A symbol
+    word ends there by the validity condition, a generator word that
+    passed the arity check at its leftmost factor's output."""
+    steps = slots(word, 1)
+    if word and not is_sym_word(word) and word[0].out_width != 1:
+        raise ValueError(f"word is not closed: final width {word[0].out_width}")
+    return steps
+
+
+def is_sym_word(word) -> bool:
+    """Whether a nonempty word is in symbol form; the empty word is
+    both, and reads as a generator word."""
+    return bool(word) and isinstance(word[0], tuple)
 
 
 # -- symbol codec -------------------------------------------------------
@@ -143,6 +183,7 @@ def is_closed(word) -> bool:
 def check_validity(sym) -> int | None:
     """None if the word satisfies the validity condition, else the
     0-based index of the first symbol violating either bound."""
+    _refuse_text(sym)
     total = sum(c for c, _ in sym)
     pre = 0
     for i, (c, d) in enumerate(sym):
@@ -162,12 +203,12 @@ def out_of_bounds(c: int, d: int, pre: int, total: int) -> bool:
 
 
 def require_valid(sym) -> None:
+    bad = check_validity(sym)  # refuses text before its symbols are unpacked
     for i, (c, d) in enumerate(sym):
         if c not in (2, -2):
             raise ParseError(f"symbol {i + 1}: first component must be +-2", i + 1)
         if d % 2:
             raise ParseError(f"symbol {i + 1}: d={d} must be even", i + 1)
-    bad = check_validity(sym)
     if bad is not None:
         raise ParseError(
             f"symbol {bad + 1}: {format_sym(sym[bad:bad + 1])} violates the "
@@ -178,8 +219,7 @@ def require_valid(sym) -> None:
 
 def encode(word) -> SymWord:
     """Symbol word of a closed generator word."""
-    if not is_closed(word):
-        raise ValueError("encode is defined for closed words only")
+    closed_slots(word)
     sym = tuple(g.symbol() for g in word)
     if check_validity(sym) is not None:
         raise InternalInvariantError("closed word encoded to an invalid symbol word")
@@ -188,19 +228,18 @@ def encode(word) -> SymWord:
 
 def decode(sym) -> GenWord:
     """The unique closed generator word with this symbol encoding."""
-    require_valid(sym)
-    total = sum(c for c, _ in sym)
+    steps = slots(sym, 1)
+    if sym and not is_sym_word(sym):
+        raise ValueError("decode takes a symbol word, not a generator word")
     out = []
-    pre = 0
-    for c, d in sym:
-        post = total - pre - c
-        n = post + 1 if c == 2 else post - 1
-        k2 = d + n + 3
-        if k2 % 2:
-            raise InternalInvariantError("odd slot arithmetic in decode")
-        out.append(Generator("cap" if c == 2 else "cup", n, k2 // 2))
-        pre += c
-    return tuple(out)
+    width = 1
+    for (is_cap, k), symbol in zip(steps, reversed(sym)):
+        gen = Generator("cap", width, k) if is_cap else Generator("cup", width - 2, k)
+        if gen.symbol() != symbol:
+            raise InternalInvariantError(f"decode built {gen.text()} for the symbol {symbol}")
+        out.append(gen)
+        width = gen.out_width
+    return tuple(reversed(out))
 
 
 # -- local rewrites ------------------------------------------------------
@@ -308,12 +347,6 @@ def random_word(rng, max_pairs: int) -> SymWord:
             out.append((-2, rng.randrange(-q // 2, q // 2 + 1) * 2))
             q += 2
     return tuple(out)
-
-
-def is_sym_word(word) -> bool:
-    """Whether a nonempty word is in symbol form; the empty word is
-    both, and reads as a generator word."""
-    return bool(word) and isinstance(word[0], tuple)
 
 
 def to_gen_word(parsed) -> GenWord:

@@ -6,7 +6,7 @@ import pytest
 
 from tanglekit.lomonoid import count_monoid, prime_monoid
 from tanglekit.oracle import _dyck_words
-from tanglekit.states import random_state
+from tanglekit.operators import random_state
 from tanglekit.words import random_word
 
 STATE_WIDTHS = (1, 3, 5, 7, 9)

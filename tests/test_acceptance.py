@@ -12,7 +12,7 @@ import pytest
 from tanglekit import words
 from tanglekit.invariants import forest_value, word_value
 from tanglekit.lomonoid import axiom_failures, count_monoid, prime_monoid
-from tanglekit.operators import add_value, cap, cup, mirror
+from tanglekit.operators import add_value, cap, cup, mirror, random_state
 from tanglekit.oracle import (
     canonical,
     completeness_report,
@@ -20,7 +20,6 @@ from tanglekit.oracle import (
     trace_diagram,
 )
 from tanglekit.rewriting import normalize, to_forest
-from tanglekit.states import random_state
 
 import boolean_algebra as bm
 from conftest import STATE_WIDTHS, dyck_corpus

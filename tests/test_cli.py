@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from tanglekit import cli
+from tanglekit import cli, invariants, oracle, rewriting, words
 from tanglekit.cli import build_parser, main
 from tanglekit.words import Generator
 
@@ -178,6 +178,26 @@ class TestExitCodes:
         assert (code, out, err) == (0, f"EQUIVALENT {value} {value}\n", "")
         code, out, err = run(["eval", word, "--monoid", "prime"])
         assert (code, out, err) == (0, f"width 1 values ({value})\n", "")
+
+    def test_broken_rewrite_is_two(self, monkeypatch):
+        # normalize checks the new symbols of each rewrite; a rewrite that
+        # breaks the validity condition is a bug, not bad input
+        monkeypatch.setattr(rewriting, "swap", lambda a, b, forward=True: ((b[0], 100), (a[0], 100)))
+        code, out, err = run(["normalize", "(-2,0)(-2,0)(-2,2)(2,2)(2,2)(2,0)"])
+        assert (code, out, err) == (2, "", "INTERNAL: rewrite R4 broke the validity condition\n")
+
+    def test_unbalanced_normal_word_is_two(self, monkeypatch):
+        monkeypatch.setattr(invariants, "normalize", lambda sym: (((2, 0), (-2, 0)), None))
+        monkeypatch.setattr(rewriting, "require_valid", lambda sym: None)
+        code, out, err = run(["invariant", "(-2,0)(2,0)"])
+        assert (code, out, err) == (2, "", "INTERNAL: unbalanced word\n")
+
+    def test_live_strands_fail_selftest_with_two(self, monkeypatch):
+        # selftest reports a crashed suite itself, on stdout
+        monkeypatch.setattr(oracle, "closed_slots", lambda word: words.slots(word, 1)[:-1])
+        code, out, err = run(["selftest", "--seed", "3", "--trials", "5"])
+        assert code == 2 and err == ""
+        assert "suite normalize-oracle FAIL (sweep ended with live strands on a closed word)\n" in out
 
     def test_help_is_zero(self):
         code, _, _ = run(["--help"])

@@ -1,8 +1,8 @@
 """Import layering of the package, read from the source's syntax trees.
 
 Each data format lives in one module, so the modules that read and
-write words and forests never reach up to the operator side, and only
-a real import cycle justifies an import inside a function.
+write words and forests never reach up to the operator side, and no
+module imports inside a function.
 """
 
 import ast
@@ -56,14 +56,15 @@ def imported_package_modules(tree):
     return out
 
 
-def test_only_random_state_imports_inside_a_function():
-    # states.random_state breaks the states <-> operators cycle.
+def test_no_import_inside_a_function():
+    # random_state lives with the operators it walks, so no import
+    # cycle needs breaking.
     found = [
         f"{path.stem}.{function}"
         for path in sorted(PACKAGE.glob("*.py"))
         for function in function_level_imports(syntax_tree(path.stem))
     ]
-    assert found == ["states.random_state"]
+    assert found == []
 
 
 def test_format_modules_stay_below_operators():
@@ -124,6 +125,13 @@ def referred_names(tree):
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     }
+
+
+def test_only_words_reads_a_words_form():
+    # The operators and the sweep take a word's checked slots from
+    # words.slots and words.closed_slots, never its form.
+    for module in ("operators", "oracle"):
+        assert not referred_names(syntax_tree(module)) & {"decode", "is_sym_word"}, module
 
 
 def test_invariants_never_decode():

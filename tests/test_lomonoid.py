@@ -225,7 +225,7 @@ class TestMatrixAction:
     def test_symmetric_fixed_array_shifts_out(self, make):
         # R symmetric with act(R, v) = v lets v slide out of an oplus
         from tanglekit.lomonoid import MonoidSpec  # noqa: F401  (docs pointer)
-        from tanglekit.states import random_state
+        from tanglekit.operators import random_state
 
         spec = make()
         rng = random.Random(13)

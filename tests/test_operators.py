@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from tanglekit import operators, words
+from tanglekit import words
 from tanglekit.invariants import circle_count, equivalent, word_value
 from tanglekit.boolmat import BitMatrix
 from tanglekit.lomonoid import count_monoid, lattice_monoid, prime_monoid
@@ -15,14 +15,13 @@ from tanglekit.operators import (
     add_value,
     cap,
     cup,
-    eval_closed,
     eval_steps,
     eval_word,
     mirror,
+    random_state,
 )
 from tanglekit.states import (
     TangleState,
-    random_state,
     trivial,
     validate,
 )
@@ -358,7 +357,7 @@ class TestLabels:
         monkeypatch.setattr(BitMatrix, "__init__", counting_init)
         depth = 500
         word = words.decode(((-2, 0),) * depth + ((2, 0),) * depth)
-        assert eval_closed(word, COUNT) == depth
+        assert word_value(word, COUNT) == depth
         assert built == []
         assert trivial(COUNT).region.rows == 1  # reading the property builds one
         assert len(built) == 1
@@ -374,7 +373,7 @@ class TestLabels:
         monkeypatch.setattr(TangleState, "__init__", counting_init)
         depth = 500
         word = words.decode(((-2, 0),) * depth + ((2, 0),) * depth)
-        assert eval_closed(word, COUNT) == depth
+        assert word_value(word, COUNT) == depth
         assert len(built) == 2  # trivial() and the final state
 
 
@@ -403,7 +402,7 @@ class TestCupBranches:
         row = ((-2, 0), (2, 0)) * depth
         for word in (nest, row):
             calls = Counter()
-            assert eval_closed(word, self.counting(COUNT, calls)) == depth
+            assert word_value(word, self.counting(COUNT, calls)) == depth
             counts = [calls[name] for name in ("phi", "oplus", "join", "meet")]
             assert counts == [depth, depth, 0, 0], word[:4]
 
@@ -413,8 +412,8 @@ class TestCupBranches:
         wavy = ((-2, 0), (-2, 0), (2, 2), (2, 0))
         for spec in (COUNT, PRIME, CHAIN):
             calls = Counter()
-            value = eval_closed(wavy, self.counting(spec, calls))
-            assert value == eval_closed(((-2, 0), (2, 0)), spec), spec.name
+            value = word_value(wavy, self.counting(spec, calls))
+            assert value == word_value(((-2, 0), (2, 0)), spec), spec.name
             counts = [calls[name] for name in ("phi", "oplus", "join", "meet")]
             assert counts == [1, 2, 1, 1], spec.name
 
@@ -427,15 +426,20 @@ class TestSymbolWords:
     def test_against_decoded_words(self, word_corpus):
         # The slots are pinned as well as the values: a circle system
         # and its mirror image have one value, so values cannot see a
-        # mirrored slot.
+        # mirrored slot.  decode is built on the walker, so each step is
+        # checked against the forward code instead: the generator at
+        # that slot and incoming width encodes to the step's symbol.
         exhaustive, randoms = word_corpus
         for sym in exhaustive + randoms:
+            width = 1
+            for (is_cap, k), symbol in zip(words.slots(sym, 1), reversed(sym), strict=True):
+                gen = Generator("cap", width, k) if is_cap else Generator("cup", width - 2, k)
+                assert gen.symbol() == symbol, sym
+                width = gen.out_width
             gen_word = words.decode(sym)
-            slots = [(gen.kind == "cap", gen.k) for gen in reversed(gen_word)]
-            assert operators._slots(sym, 1) == slots, sym
             for spec in (COUNT, PRIME):
                 decoded = eval_word(gen_word, trivial(spec)).values[0]
-                assert eval_closed(sym, spec) == decoded, (spec.name, sym)
+                assert word_value(sym, spec) == decoded, (spec.name, sym)
 
     def test_invariants_build_no_generator(self, monkeypatch):
         rng = random.Random("no-generator")
@@ -443,7 +447,7 @@ class TestSymbolWords:
         for _ in range(20):
             a, b = words.random_word(rng, 8), words.random_word(rng, 8)
             count, value_a, value_b = (
-                eval_closed(words.decode(word), spec)
+                word_value(words.decode(word), spec)
                 for word, spec in ((a, COUNT), (a, PRIME), (b, PRIME))
             )
             cases.append((a, b, count, value_a, value_b))

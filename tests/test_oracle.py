@@ -60,7 +60,7 @@ class TestTraceDiagram:
         # live strand is a bug, not bad input.
         from tanglekit.operators import Generator
 
-        monkeypatch.setattr(oracle, "width_profile", lambda word: [1, 1])
+        monkeypatch.setattr(oracle, "closed_slots", lambda word: words.slots(word, 1))
         with pytest.raises(InternalInvariantError, match="live strands"):
             trace_diagram((Generator("cap", 1, 2),))
 

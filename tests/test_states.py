@@ -8,11 +8,10 @@ import pytest
 from tanglekit import states
 from tanglekit.boolmat import BitMatrix
 from tanglekit.lomonoid import count_monoid, prime_monoid
-from tanglekit.operators import cup
+from tanglekit.operators import cup, random_state
 from tanglekit.states import (
     StateValidationError,
     TangleState,
-    random_state,
     trivial,
     validate,
 )

@@ -5,16 +5,18 @@ import random
 import pytest
 
 import reference_rewriting
+import tanglekit
 from conftest import iter_closed_words
 from reference_rewriting import apply_relation, rewrite_pair
+from tanglekit import words
 from tanglekit.errors import InternalInvariantError, ParseError
 from tanglekit.operators import Generator
 from tanglekit.words import (
     check_validity,
+    closed_slots,
     decode,
     encode,
     format_sym,
-    is_closed,
     parse_gen,
     parse_sym,
     parse_word,
@@ -63,6 +65,20 @@ class TestDecode:
         with pytest.raises(ParseError) as excinfo:
             decode(((2, 0), (-2, 0)))
         assert excinfo.value.position == 1
+
+    def test_generator_word_rejected(self):
+        with pytest.raises(ValueError, match="^decode takes a symbol word, not a generator word$"):
+            decode(CIRCLE)
+
+    def test_wrong_slot_is_internal(self, monkeypatch):
+        # decode checks that each generator it builds encodes to its symbol
+        plain = words.slots
+        monkeypatch.setattr(words, "slots", lambda word, width: [
+            (is_cap, 2) for is_cap, _ in plain(word, width)
+        ])
+        with pytest.raises(InternalInvariantError,
+                           match=r"^decode built H\(3,2\) for the symbol \(2, 2\)$"):
+            decode(((-2, 0), (-2, 0), (2, 2), (2, 0)))
 
     def test_roundtrip_random(self):
         rng = random.Random(0)
@@ -386,9 +402,14 @@ class TestArities:
         assert width_profile(CIRCLE, 1) == [1, 3, 1]
 
     def test_closed(self):
-        assert is_closed(CIRCLE)
-        assert not is_closed((Generator("cap", 1, 2),))
-        assert not is_closed((Generator("cup", 3, 2), Generator("cap", 3, 2)))
+        assert closed_slots(CIRCLE) == [(True, 2), (False, 2)]
+        assert closed_slots(((-2, 0), (2, 0))) == [(True, 2), (False, 2)]
+        assert closed_slots(()) == []
+        with pytest.raises(ValueError, match=r"^word is not closed: final width 3$"):
+            closed_slots((Generator("cap", 1, 2),))
+        with pytest.raises(ParseError, match="incoming width is 1") as excinfo:
+            closed_slots((Generator("cup", 3, 2), Generator("cap", 3, 2)))
+        assert excinfo.value.position == 2
 
     def test_mismatch_position(self):
         with pytest.raises(ParseError) as excinfo:
@@ -399,6 +420,29 @@ class TestArities:
         with pytest.raises(ParseError, match="incoming width is 3") as excinfo:
             width_profile(CIRCLE, 3)
         assert excinfo.value.position == 2
+
+
+TEXT_CALLS = {
+    "check_validity": tanglekit.check_validity,
+    "circle_count": tanglekit.circle_count,
+    "decode": tanglekit.decode,
+    "encode": tanglekit.encode,
+    "equivalent": lambda word: tanglekit.equivalent(word, word),
+    "eval_word": lambda word: tanglekit.eval_word(word, tanglekit.trivial(tanglekit.count_monoid())),
+    "normalize": tanglekit.normalize,
+    "to_forest": tanglekit.to_forest,
+    "trace_diagram": tanglekit.trace_diagram,
+    "word_value": lambda word: tanglekit.word_value(word, tanglekit.count_monoid()),
+}
+
+
+@pytest.mark.parametrize("text", ["(-2,0)(2,0)", "U(1,2);H(1,2)", ""])
+@pytest.mark.parametrize("name", sorted(TEXT_CALLS))
+def test_word_text_is_refused(name, text):
+    # Each export that takes a word takes its parsed form; text, the
+    # empty string included, is refused as bad input, not misread.
+    with pytest.raises(ParseError, match="^a word given as text must be read with parse_word first$"):
+        TEXT_CALLS[name](text)
 
 
 class TestCorpora:
