@@ -4,7 +4,10 @@ Words are passed as single quoted arguments in either text syntax,
 auto-detected by the first character: '(' starts a symbol word like
 "(-2,0)(2,0)", a letter starts a generator word like "U(1,2);H(1,2)"
 (composition order, leftmost = bottom of the diagram; H = cap, U =
-cup).
+cup).  A word argument `-` reads the word from stdin, one line per
+`-`: `equiv - -` takes the first and the second line.  So a word longer
+than the system's limit on one argument (131,072 bytes on Linux) can
+still be given.
 
 Exit codes: 0 success, 1 invalid input (with 1-based position
 diagnostics), 2 internal invariant violation (method disagreement,
@@ -39,6 +42,19 @@ EXIT_LIMIT = 3
 
 def _monoid(name: str) -> MonoidSpec:
     return prime_monoid() if name == "prime" else count_monoid()
+
+
+def _read_stdin_words(args) -> None:
+    """Replace each word argument `-` by the next line of stdin; stdin
+    must hold exactly one line per `-`."""
+    names = [name for name in ("word", "word_a", "word_b") if getattr(args, name, None) == "-"]
+    if names:
+        lines = sys.stdin.read().splitlines()
+        if len(lines) != len(names):
+            raise ValueError(f"stdin holds {len(lines)} line(s); the word arguments '-' "
+                             f"need {len(names)}")
+        for name, line in zip(names, lines):
+            setattr(args, name, line)
 
 
 def _cmd_validate(args) -> int:
@@ -178,6 +194,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; our contract reserves 2.
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
+        _read_stdin_words(args)
         return args.func(args)
     except InternalInvariantError as exc:
         print(f"INTERNAL: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ def invariant_reports(word, spec: MonoidSpec) -> tuple[InvariantReport, Invarian
     mapped to exit code 2 by the CLI), never hidden.
     """
     direct = word_value(word, spec)
-    normal, _ = normalize(word if words.is_sym_word(word) else words.encode(word))
+    normal, _ = normalize(words.encode(word))
     recursive = forest_value(to_forest(normal), spec)
     agree = direct == recursive
     return (

@@ -218,7 +218,11 @@ def require_valid(sym) -> None:
 
 
 def encode(word) -> SymWord:
-    """Symbol word of a closed generator word."""
+    """Symbol word of a closed word of either form.  A symbol word comes
+    back as a tuple, unchecked: whoever reads its symbols checks them,
+    as normalize does."""
+    if is_sym_word(word):
+        return tuple(word)
     closed_slots(word)
     sym = tuple(g.symbol() for g in word)
     if check_validity(sym) is not None:
@@ -357,5 +361,4 @@ def to_gen_word(parsed) -> GenWord:
 
 def to_sym_word(parsed) -> SymWord:
     """Normalize a parse_word result to a symbol word (closed words only)."""
-    form, word = parsed
-    return word if form == "sym" else encode(word)
+    return encode(parsed[1])

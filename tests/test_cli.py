@@ -249,15 +249,61 @@ class TestEvalPath:
         assert f"exit: {code}\n--- stdout ---\n{out}--- stderr ---\n{err}" == golden.split("\n", 1)[1]
 
 
+class TestStdinWords:
+    """A word argument `-` reads the word from stdin, one line per `-`."""
+
+    @staticmethod
+    def run_with_stdin(monkeypatch, argv, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        return run(argv)
+
+    @pytest.mark.parametrize("name", [
+        "validate_gen_ok", "normalize_trace", "invariant_nested_prime", "eval_circle_steps",
+    ])
+    def test_answers_as_the_argument(self, monkeypatch, name):
+        argv = CASES[name]
+        at = next(i for i, arg in enumerate(argv) if arg[0] in "(UH")
+        piped = [*argv[:at], "-", *argv[at + 1:]]
+        assert self.run_with_stdin(monkeypatch, piped, argv[at] + "\n") == run(argv)
+
+    def test_equiv_takes_the_first_and_the_second_line(self, monkeypatch):
+        _, word_a, word_b = CASES["equiv_same"]
+        expected = run(CASES["equiv_same"])
+        assert expected[1].startswith("EQUIVALENT")
+        text = f"{word_a}\n{word_b}\n"
+        assert self.run_with_stdin(monkeypatch, ["equiv", "-", "-"], text) == expected
+        assert self.run_with_stdin(monkeypatch, ["equiv", word_a, "-"], word_b) == expected
+
+    @pytest.mark.parametrize("argv, text, lines", [
+        (["equiv", "-", "-"], "(-2,0)(2,0)\n", 1),
+        (["normalize", "-"], "", 0),
+        (["normalize", "-"], "(-2,0)(2,0)\n(-2,0)(2,0)\n", 2),
+    ])
+    def test_one_line_per_dash(self, monkeypatch, argv, text, lines):
+        need = argv.count("-")
+        assert self.run_with_stdin(monkeypatch, argv, text) == (
+            1, "", f"ERROR: stdin holds {lines} line(s); the word arguments '-' need {need}\n")
+
+    def test_a_word_past_the_argument_limit(self):
+        # Linux refuses one argument of 131,072 bytes or more; stdin has
+        # no such limit.
+        word = nest(12_000)
+        assert len(word) > 131_072
+        proc = TestModuleEntryPoint().tanglekit(
+            "invariant", "--monoid", "count", "-", stdin=word + "\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "count operator 12000\ncount recursive 12000\nAGREE\n", "")
+
+
 class TestModuleEntryPoint:
     """`python -m tanglekit` runs cli.console_main in a fresh interpreter."""
 
     module = "tanglekit"
 
-    def tanglekit(self, *argv):
+    def tanglekit(self, *argv, stdin=None):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        return subprocess.run([sys.executable, "-m", self.module, *argv],
+        return subprocess.run([sys.executable, "-m", self.module, *argv], input=stdin,
                               capture_output=True, text=True, env=env, timeout=60)
 
     def test_validate(self):

@@ -53,6 +53,11 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode((Generator("cap", 1, 2),))
 
+    def test_symbol_word_comes_back_unchecked(self):
+        # normalize checks the symbols it reads, so encode does not
+        assert encode([(-2, 0), (2, 0)]) == ((-2, 0), (2, 0))
+        assert encode(((2, 1),)) == ((2, 1),)
+
 
 class TestDecode:
     def test_circle(self):
