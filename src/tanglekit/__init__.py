@@ -25,9 +25,9 @@ from .invariants import (
     word_value,
 )
 from .lomonoid import MonoidSpec, count_monoid, lattice_monoid, prime_monoid
-from .rewriting import Forest, normalize, rewrite_potential, to_forest
+from .rewriting import Forest, canonical, normalize, rewrite_potential, to_forest
 from .operators import add_value, cap, cup, eval_word, mirror, random_state
-from .oracle import canonical, completeness_report, enumerate_forests, trace_diagram
+from .oracle import completeness_report, enumerate_forests, trace_diagram
 from .states import TangleState, trivial, validate
 from .words import Generator, check_validity, decode, encode, format_sym, parse_word
 

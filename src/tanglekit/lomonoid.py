@@ -67,8 +67,9 @@ class MonoidSpec:
         return self.join(a, b) == b
 
     def with_phi(self, phi: Callable[[Value], Value]) -> "MonoidSpec":
-        """Test-only variant with a different region-closure function;
-        renamed so it never compares equal to the original."""
+        """Variant with a different region-closure function, which the
+        benchmark's traced phi uses; renamed so it never compares equal
+        to the original."""
         return replace(self, name=f"{self.name}+phi", phi=phi)
 
 

@@ -19,16 +19,8 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError
 from .lomonoid import count_monoid, prime_monoid
-from .rewriting import (
-    Forest,
-    canonicalize,
-    forest_string,
-    forest_value,
-    to_forest,
-)
+from .rewriting import Forest, canonical, forest_value, to_forest
 from .words import closed_slots
-
-canonical = forest_string
 
 
 class _UnionFind:
@@ -131,15 +123,16 @@ def _innermost_enclosing(left_strands: tuple[int, ...], uf: _UnionFind) -> int |
 
 def enumerate_forests(n_circles: int) -> list[Forest]:
     """Every unordered forest with exactly n circles, once each, in
-    canonical-string order.  Generates all balanced-parenthesis words
-    of n pairs, canonicalizes, and deduplicates."""
+    canonical-string order.  Collects the canonical strings of all
+    balanced-parenthesis words of n pairs and reads each one back as a
+    forest, siblings in canonical order."""
     if not 0 <= n_circles <= 8:
         raise ValueError(f"circle count {n_circles} outside 0..8")
-    seen: dict[str, Forest] = {}
-    for word in _dyck_words(n_circles):
-        forest = canonicalize(to_forest(word))
-        seen.setdefault(forest_string(forest), forest)
-    return [seen[s] for s in sorted(seen, key=lambda s: (len(s), s))]
+    strings = {canonical(to_forest(word)) for word in _dyck_words(n_circles)}
+    return [
+        to_forest(tuple((-2, 0) if ch == "(" else (2, 0) for ch in s))
+        for s in sorted(strings, key=lambda s: (len(s), s))
+    ]
 
 
 def _dyck_words(pairs: int):
@@ -206,7 +199,7 @@ def completeness_report(max_circles: int) -> CompletenessReport:
     collisions = []
     for n in range(max_circles + 1):
         for forest in enumerate_forests(n):
-            canon = forest_string(forest)
+            canon = canonical(forest)
             pv = forest_value(forest, prime)
             cv = forest_value(forest, count)
             rows.append(CompletenessRow(n, canon, pv, cv))

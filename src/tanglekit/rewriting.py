@@ -49,20 +49,20 @@ rerun gives the same trace and the trace is stable enough for golden
 tests.
 
 Forests are nested tuples: a tree is the tuple of its child trees, a
-forest is a tuple of trees.  The canonical form orders siblings by
-their parenthesis strings, shorter first then lexicographic; it is
-chosen independently of the numeric invariants so the two can
-cross-check each other.  `fold` is the one forest walker: iterative,
-so any depth of nesting works.  forest_string, canonicalize and the
-structural invariant forest_value are folds.
+forest is a tuple of trees.  The one canonical form is a parenthesis
+string that orders siblings by their own strings, shorter first then
+lexicographic; it is chosen independently of the numeric invariants so
+the two can cross-check each other.  `fold` is the one forest walker:
+iterative, so any depth of nesting works.  canonical and the structural
+invariant forest_value are folds, and to_forest reads a canonical
+string back as the forest in canonical order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import accumulate
 
 from .errors import InternalInvariantError, ResourceLimitError
 from .lomonoid import MonoidSpec, Value
@@ -70,7 +70,6 @@ from .words import SymWord, format_sym, require_valid, swap
 
 DEFAULT_MAX_REWRITES = 10**6
 
-Tree = tuple
 Forest = tuple
 
 
@@ -106,12 +105,11 @@ class RewriteStep:
         return f"step{self.step} {self.rule}{mark} @{self.pos + 1} {format_sym(self.word)}"
 
 
-class Trace(Sequence):
-    """The RewriteSteps of one normalize call, equal to their list.
+class Trace:
+    """The RewriteSteps of one normalize call, read in order.
 
-    A trace keeps the start word and the rewrite count.  Each full read
-    reruns the algorithm once, an index streams the steps up to it, and
-    only a slice or `reversed` holds the steps it returns.
+    A trace keeps the start word and the rewrite count, and each read
+    reruns the algorithm once.
     """
 
     __slots__ = ("_start", "_len")
@@ -127,36 +125,6 @@ class Trace(Sequence):
         word = list(self._start)
         for step, rule, forward, pos, pos_sum, d_balance in _rewrites(word):
             yield RewriteStep(step, rule, forward, pos, tuple(word), (pos_sum, d_balance))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            wanted = range(*index.indices(self._len))
-            upto = range(max(wanted, default=-1) + 1)
-            steps = [step for i, step in zip(upto, self) if i in wanted]
-            return steps if wanted.step > 0 else steps[::-1]
-        if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError("trace index out of range")
-        return next(islice(self, index, None))
-
-    def __reversed__(self):
-        return iter(self[::-1])
-
-    def index(self, value, start: int = 0, stop: int | None = None) -> int:
-        lo, hi, _ = slice(start, stop).indices(self._len)
-        for i, step in islice(enumerate(self), lo, hi):
-            if step == value:
-                return i
-        raise ValueError(f"{value!r} is not in the trace")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, Trace)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"Trace({list(self)!r})"
 
 
 def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, Trace]:
@@ -338,23 +306,16 @@ def fold(forest: Forest, combine, wrap):
         done[-1].append(wrap(result))
 
 
-def _sort_siblings(kids: list[tuple[str, Tree]]) -> tuple[str, Tree]:
-    kids.sort(key=lambda kid: (len(kid[0]), kid[0]))
-    return "".join(s for s, _ in kids), tuple(t for _, t in kids)
+def _sort_siblings(kids: list[str]) -> str:
+    kids.sort(key=lambda kid: (len(kid), kid))
+    return "".join(kids)
 
 
-def _parenthesize(canon: tuple[str, Tree]) -> tuple[str, Tree]:
-    return "(" + canon[0] + ")", canon[1]
-
-
-def forest_string(forest: Forest) -> str:
-    """Canonical parenthesis string: equal strings iff isotopic systems."""
-    return fold(forest, _sort_siblings, _parenthesize)[0]
-
-
-def canonicalize(forest: Forest) -> Forest:
-    """Reorder all siblings into canonical order."""
-    return fold(forest, _sort_siblings, _parenthesize)[1]
+def canonical(forest: Forest) -> str:
+    """Canonical parenthesis string: equal strings iff isotopic systems.
+    Read back by to_forest, its (-2,0)/(2,0) symbols give the forest
+    with its siblings in canonical order."""
+    return fold(forest, _sort_siblings, lambda inner: "(" + inner + ")")
 
 
 def forest_value(forest: Forest, spec: MonoidSpec) -> Value:

@@ -10,7 +10,7 @@ import pathlib
 import sys
 
 import tanglekit
-from tanglekit import invariants, operators, rewriting, words
+from tanglekit import invariants, operators, oracle, rewriting, words
 from tanglekit.boolmat import BitMatrix
 
 PACKAGE = pathlib.Path(tanglekit.__file__).parent
@@ -213,3 +213,4 @@ def test_imports_only_the_standard_library():
 def test_moved_names_still_resolve():
     assert tanglekit.Generator is operators.Generator is words.Generator
     assert tanglekit.forest_value is invariants.forest_value is rewriting.forest_value
+    assert tanglekit.canonical is oracle.canonical is rewriting.canonical

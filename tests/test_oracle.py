@@ -115,6 +115,8 @@ class TestEnumeration:
             assert all(forest_size(f) == n for f in forests)
 
     def test_range(self):
+        assert len(enumerate_forests(8)) == 286
+        assert enumerate_forests(0) == [()]
         with pytest.raises(ValueError):
             enumerate_forests(9)
         with pytest.raises(ValueError):
@@ -144,6 +146,15 @@ class TestCompleteness:
         report = completeness_report(7)
         assert len(report.rows) == 200
         assert report.ok
+
+    def test_range(self):
+        empty = completeness_report(0)
+        assert [row.canon for row in empty.rows] == [""] and empty.ok
+        full = completeness_report(8)
+        assert len(full.rows) == 486 and full.ok
+        for bad in (-1, 9):
+            with pytest.raises(ValueError, match=f"^circle count {bad} outside 0..8$"):
+                completeness_report(bad)
 
     def test_count_column_is_size(self):
         for row in completeness_report(4).rows:

@@ -19,14 +19,7 @@ from reference_rewriting import (
 from tanglekit import rewriting, words
 from tanglekit.errors import InternalInvariantError, ResourceLimitError
 from tanglekit.oracle import canonical, trace_diagram
-from tanglekit.rewriting import (
-    Forest,
-    canonicalize,
-    forest_string,
-    normalize,
-    rewrite_potential,
-    to_forest,
-)
+from tanglekit.rewriting import Forest, normalize, rewrite_potential, to_forest
 from tanglekit.words import SymWord
 
 CIRCLE = ((-2, 0), (2, 0))
@@ -39,7 +32,7 @@ TRACED = ((-2, 0), (-2, 0), (-2, 2), (2, 2), (2, 2), (2, 0))
 def from_forest(forest: Forest) -> SymWord:
     """Normal word of a forest, children emitted in canonical order:
     the canonical string read as (-2,0) for '(' and (2,0) for ')'."""
-    return tuple((-2, 0) if ch == "(" else (2, 0) for ch in forest_string(forest))
+    return tuple((-2, 0) if ch == "(" else (2, 0) for ch in canonical(forest))
 
 
 def seeded_word(seed: int, lo: int, hi: int):
@@ -63,20 +56,22 @@ def assert_same_as_reference(sym):
 class TestNormalize:
     def test_already_normal(self):
         out, trace = normalize(CIRCLE)
-        assert out == CIRCLE and trace == []
+        assert out == CIRCLE and list(trace) == []
 
     def test_hump_single_deletion(self):
         out, trace = normalize(HUMP)
         assert out == CIRCLE
         assert len(trace) == 1
-        assert (trace[0].step, trace[0].rule, trace[0].pos) == (3, "R1", 1)
+        [step] = trace
+        assert (step.step, step.rule, step.pos) == (3, "R1", 1)
 
     def test_nested_pair_untouched(self):
         out, trace = normalize(NESTED)
-        assert out == NESTED and trace == []
+        assert out == NESTED and list(trace) == []
 
     def test_empty(self):
-        assert normalize(()) == ((), [])
+        out, trace = normalize(())
+        assert out == () and list(trace) == []
 
     def test_only_zero_symbols(self):
         rng = random.Random(0)
@@ -101,7 +96,8 @@ class TestNormalize:
         rng = random.Random(2)
         for _ in range(50):
             sym = words.random_word(rng, 10)
-            assert normalize(sym) == normalize(sym)
+            (out, trace), (again, retrace) = normalize(sym), normalize(sym)
+            assert out == again and list(trace) == list(retrace)
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
@@ -129,8 +125,10 @@ class TestNormalize:
         assert issubclass(ResourceLimitError, RuntimeError)
         assert not issubclass(ResourceLimitError, (InternalInvariantError, ValueError))
         # the cap counts rewrites: exactly enough is enough
-        needed = len(normalize(TRACED)[1])
-        assert normalize(TRACED, max_rewrites=needed) == normalize(TRACED)
+        out, trace = normalize(TRACED)
+        needed = len(trace)
+        capped_out, capped_trace = normalize(TRACED, max_rewrites=needed)
+        assert capped_out == out and list(capped_trace) == list(trace)
         with pytest.raises(ResourceLimitError, match=f"after {needed - 1} rewrites"):
             normalize(TRACED, max_rewrites=needed - 1)
 
@@ -142,11 +140,13 @@ class TestNormalize:
 
     def test_potential_recorded(self):
         _, trace = normalize(HUMP)
-        assert trace[0].potential == rewrite_potential(CIRCLE)
+        [step] = trace
+        assert step.potential == rewrite_potential(CIRCLE)
 
     def test_describe_format(self):
         _, trace = normalize(HUMP)
-        assert trace[0].describe() == "step3 R1 @2 (-2,0)(2,0)"
+        [step] = trace
+        assert step.describe() == "step3 R1 @2 (-2,0)(2,0)"
 
 
 class TestAgainstReference:
@@ -249,35 +249,15 @@ class TestTrace:
         assert first and list(trace) == first
         assert len(trace) == len(first)
 
-    def test_indexing(self):
-        _, trace = normalize(seeded_word(22, 20, 30))
-        steps = list(trace)
-        assert trace[0] == steps[0]
-        assert trace[-1] == steps[-1]
-        assert trace[1:3] == steps[1:3]
-        assert list(trace) == steps  # iteration after indexing
-
-    @pytest.mark.parametrize(
-        "index",
-        [0, -1, "-len", slice(None, None, -1), slice(5, 2), slice(1, 9, 3), slice(-4, None, -2)],
-    )
-    def test_index_like_a_list(self, index):
-        _, trace = normalize(seeded_word(23, 20, 30))
-        steps = list(trace)
-        if index == "-len":
-            index = -len(steps)
-        assert trace[index] == steps[index]
-
-    def test_index_past_the_end(self):
-        _, trace = normalize(seeded_word(23, 20, 30))
-        with pytest.raises(IndexError):
-            trace[len(trace)]
-        with pytest.raises(IndexError):
-            trace[-len(trace) - 1]
+    def test_read_in_order_only(self):
+        _, trace = normalize(TRACED)
+        with pytest.raises(TypeError):
+            trace[0]
 
     def test_memory_stays_flat(self):
         # nothing is kept per rewrite: neither normalize nor reading the
-        # last step holds more than the word and a few steps
+        # trace through to its last step holds more than the word and a
+        # few steps
         sym = seeded_word(24, 90, 110)
         tracemalloc.start()
         try:
@@ -285,57 +265,13 @@ class TestTrace:
             _, trace = normalize(sym)
             run_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            trace[-1]
+            for last in trace:
+                pass
             read_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(trace) > 5000
+        assert len(trace) > 5000 and last.word == normalize(sym)[0]
         assert run_peak < 2**20 and read_peak < 2**20
-
-    def test_reversed_and_index_rerun_once(self, monkeypatch):
-        # the Sequence defaults read trace[i] once per step, and each read
-        # reruns the algorithm: len(trace) runs where one will do
-        _, trace = normalize(seeded_word(23, 20, 30))
-        steps = list(trace)
-        assert len(steps) > 10
-        runs = []
-        plain = rewriting._rewrites
-
-        def counted(word):
-            runs.append(len(word))
-            return plain(word)
-
-        monkeypatch.setattr(rewriting, "_rewrites", counted)
-        last = trace[-1]
-        runs.clear()
-        assert list(reversed(trace)) == steps[::-1]
-        assert len(runs) == 1
-        runs.clear()
-        assert trace.index(last) == steps.index(last)
-        assert len(runs) == 1
-
-    @pytest.mark.parametrize("bounds", [(), (3,), (-5,), (2, 9), (0, -1), (-100, 100), (9, 2)])
-    def test_index_of_a_step_like_a_list(self, bounds):
-        _, trace = normalize(seeded_word(23, 20, 30))
-        steps = list(trace)
-
-        def found(seq, value):
-            try:
-                return seq.index(value, *bounds)
-            except ValueError:
-                return "missing"
-
-        for value in (steps[0], steps[4], steps[-1], "not a step"):
-            assert found(trace, value) == found(steps, value)
-
-    def test_equals_the_list_of_its_steps(self):
-        _, trace = normalize(TRACED)
-        steps = list(trace)
-        assert trace == steps and steps == trace
-        assert trace == normalize(TRACED)[1]
-        assert trace != steps[:-1]
-        assert trace != steps[::-1]
-        assert normalize(CIRCLE)[1] == []
 
 
 class TestPotentials:
@@ -415,19 +351,19 @@ class TestForests:
             to_forest(sym)
 
     def test_canonical_strings(self):
-        assert forest_string(((),)) == "()"
-        assert forest_string((((),),)) == "(())"
-        assert forest_string(((), ())) == "()()"
+        assert canonical(((),)) == "()"
+        assert canonical((((),),)) == "(())"
+        assert canonical(((), ())) == "()()"
         # sibling order never matters
         a = (((), ((),)),)
         b = ((((),), ()),)
-        assert forest_string(a) == forest_string(b)
+        assert canonical(a) == canonical(b)
 
     def test_roundtrip(self):
         rng = random.Random(6)
         for _ in range(300):
             sym, _ = normalize(words.random_word(rng, 10))
-            forest = canonicalize(to_forest(sym))
+            forest = to_forest(from_forest(to_forest(sym)))
             assert to_forest(from_forest(forest)) == forest
             assert forest_size(forest) == len(sym) // 2
 
@@ -436,8 +372,8 @@ class TestForests:
         for _ in range(300):
             sym, _ = normalize(words.random_word(rng, 12))
             forest = to_forest(sym)
-            assert forest_string(forest) == reference_forest_string(forest)
-            assert forest_string(canonicalize(forest)) == forest_string(forest)
+            assert canonical(forest) == reference_forest_string(forest)
+            assert canonical(to_forest(from_forest(forest))) == canonical(forest)
 
     def test_deep_nest(self):
         # nested tuples this deep cannot be compared by ==, so compare
@@ -447,9 +383,9 @@ class TestForests:
         out, trace = normalize(nest)
         assert out == nest and len(trace) == 0
         forest = to_forest(out)
-        assert forest_string(forest) == "(" * depth + ")" * depth
+        assert canonical(forest) == "(" * depth + ")" * depth
         assert from_forest(forest) == nest
-        assert from_forest(canonicalize(forest)) == nest
+        assert from_forest(to_forest(from_forest(forest))) == nest
         assert forest_size(forest) == depth
 
     def test_wide_row(self):
@@ -463,11 +399,12 @@ class TestForests:
         out, trace = normalize(row[:200])
         assert out == row[:200] and len(trace) == 2 * 100 * 99
         forest = to_forest(row)
-        assert forest_string(forest) == "()" * width
+        assert canonical(forest) == "()" * width
         assert from_forest(forest) == row
         assert forest_size(forest) == width
 
     def test_from_forest_emits_canonical_order(self):
         messy = ((((),), ()), ())
-        tidy = canonicalize(messy)
+        tidy = to_forest(from_forest(messy))
+        assert tidy == ((), ((), ((),)))
         assert from_forest(messy) == from_forest(tidy)

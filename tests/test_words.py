@@ -464,3 +464,9 @@ class TestCorpora:
             sym = random_word(rng, 15)
             assert check_validity(sym) is None
             assert len(sym) <= 30
+
+    def test_random_word_of_one_pair_is_the_circle(self):
+        for seed in range(20):
+            assert random_word(random.Random(seed), 1) == ((-2, 0), (2, 0))
+        with pytest.raises(ValueError, match="^max_pairs must be >= 1$"):
+            random_word(random.Random(0), 0)
