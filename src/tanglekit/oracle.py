@@ -3,14 +3,12 @@ forest enumeration.
 
 `trace_diagram` never touches the matrix representation: it sweeps the
 diagram top to bottom, a cap or cup at each slot that words.closed_slots
-lists for a word of either form, maintaining the ordered list of live
-strands and a union-find over them, and reads the nesting forest
-straight off the geometry.  Containment is decided per closing row: the
-curves enclosing the closing point are exactly those crossing the row
-an odd number of times to its left, and the innermost such curve owns
-the new circle.  Disagreement between this sweep and the rewriting
-pipeline localizes a bug to one side or the other, which is the whole
-point.
+lists for a word of either form.  One pass joins strands into curves by
+union-find; a second replays the slots with, for each live strand, the
+innermost curve just to its right, so each cap reads its curve's parent
+off its left neighbour.  Disagreement between this sweep and the
+rewriting pipeline localizes a bug to one side or the other, which is
+the whole point.
 """
 
 from __future__ import annotations
@@ -23,26 +21,12 @@ from .rewriting import Forest, canonical, forest_value, to_forest
 from .words import closed_slots
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def add(self, x: int) -> None:
-        self.parent[x] = x
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
+def _find(parent: list[int], x: int) -> int:
+    """Root of strand x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def trace_diagram(word) -> Forest:
@@ -52,71 +36,73 @@ def trace_diagram(word) -> Forest:
     leaves no live strand and no orphaned curve; either one is an
     InternalInvariantError.
 
-    Two passes.  The sweep itself records, for each curve closure, a
-    snapshot of the strand ids strictly left of the closing point; the
-    union-find keeps merging arcs until the end, when every strand id
-    knows which finished curve it belongs to.  Only then is containment
-    decided: a curve crossing the closing row an odd number of times to
-    the left of the closing point encloses it, and the enclosing curve
-    owning the nearest such strand is the innermost, hence the parent.
-    Parity must use final curves, not the open arcs at closing time:
-    two arcs straddling the point may later merge into one curve whose
+    Two passes over the slots, each O(1) Python steps per generator.
+    Pass 1 joins strands into curves: a cup on two strands of one curve
+    closes it, a cup on two curves joins them.  Pass 2 replays the
+    slots with `row`, which holds for each live strand the innermost
+    final curve just to its right; left of the first strand lies
+    outside every curve.  The region a cap of curve c opens in belongs
+    to c or to c's parent, and at c's first cap to the parent, so
+    that cap records it.  A cap in c itself bulges the outside in, so
+    the region between its strands belongs to the parent; a cap in the
+    parent bulges c's inside out.  A cup removes two strands and the
+    regions right of them; the region right of the pair is the one
+    left of it.
+
+    Why this holds: on any row each final curve's strands pair up like
+    brackets, and the brackets of disjoint curves nest; a cap or a cup
+    adds or removes two adjacent strands of one curve, so a strand
+    keeps its opener or closer role as long as it lives; and the
+    bracket just around a curve's bracket belongs to its parent.  The
+    curves must be final, which is why containment waits for pass 2:
+    two arcs straddling a point may later merge into one curve whose
     crossings pair up.
     """
+    steps = closed_slots(word)
+    parent: list[int] = []
     strands: list[int] = []
-    uf = _UnionFind()
-    closures: list[tuple[int, tuple[int, ...]]] = []  # (own id, left snapshot)
-    fresh = 0
-
-    for is_cap, k in closed_slots(word):
+    closing: list[int] = []  # curve roots, in the order the curves close
+    for is_cap, k in steps:
         at = k - 2  # the generator's two points sit at slots k-1, k
         if is_cap:
-            a, b = fresh, fresh + 1
-            fresh += 2
-            uf.add(a)
-            uf.add(b)
-            uf.union(a, b)
-            strands[at:at] = [a, b]
+            fresh = len(parent)
+            parent += (fresh, fresh)
+            strands[at:at] = (fresh, fresh + 1)
         else:
-            a, b = strands[at], strands[at + 1]
-            if uf.find(a) == uf.find(b):
-                # Same arc: its two loose ends meet, closing a curve.
-                closures.append((a, tuple(strands[:at])))
+            a, b = _find(parent, strands[at]), _find(parent, strands[at + 1])
+            if a == b:
+                closing.append(a)
             else:
-                uf.union(a, b)
+                parent[b] = a
             del strands[at:at + 2]
-
     if strands:
         raise InternalInvariantError("sweep ended with live strands on a closed word")
 
+    row: list[int | None] = []
+    up: dict[int, int | None] = {}  # curve -> its parent curve, None at the top
+    fresh = 0
+    for is_cap, k in steps:
+        at = k - 2
+        if is_cap:
+            c = _find(parent, fresh)
+            fresh += 2
+            inner = row[at - 1] if at else None
+            outer = up.setdefault(c, inner)
+            row[at:at] = (outer, c) if inner == c else (c, inner)
+        else:
+            del row[at:at + 2]
+
     children: dict[int, list] = {}
     roots: list[tuple] = []
-    for own, left in closures:  # chronological: children close before parents
-        me = uf.find(own)
-        tree = tuple(children.pop(me, []))
-        owner = _innermost_enclosing(left, uf)
-        if owner is None:
+    for c in closing:  # children close before parents
+        tree = tuple(children.pop(c, []))
+        if up[c] is None:
             roots.append(tree)
         else:
-            children.setdefault(owner, []).append(tree)
+            children.setdefault(up[c], []).append(tree)
     if children:
         raise InternalInvariantError("sweep left orphaned curves on a closed word")
     return tuple(roots)
-
-
-def _innermost_enclosing(left_strands: tuple[int, ...], uf: _UnionFind) -> int | None:
-    """Final curve enclosing the closing point most tightly: the curve
-    of the nearest left strand among curves with an odd number of
-    strands on the left (even counts do not straddle the point)."""
-    counts: dict[int, int] = {}
-    for s in left_strands:
-        r = uf.find(s)
-        counts[r] = counts.get(r, 0) + 1
-    for s in reversed(left_strands):
-        r = uf.find(s)
-        if counts[r] % 2 == 1:
-            return r
-    return None
 
 
 # -- exhaustive enumeration --------------------------------------------

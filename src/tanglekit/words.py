@@ -174,8 +174,14 @@ def closed_slots(word) -> list[tuple[bool, int]]:
 
 def is_sym_word(word) -> bool:
     """Whether a nonempty word is in symbol form; the empty word is
-    both, and reads as a generator word."""
-    return bool(word) and isinstance(word[0], tuple)
+    both, and reads as a generator word.  Text, and a word whose first
+    element is neither a symbol tuple nor a Generator, is a ParseError."""
+    _refuse_text(word)
+    if not word or isinstance(word[0], Generator):
+        return False
+    if not isinstance(word[0], tuple):
+        raise ParseError("a word is a sequence of symbol tuples or of Generators")
+    return True
 
 
 # -- symbol codec -------------------------------------------------------

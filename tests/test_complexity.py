@@ -1,0 +1,82 @@
+"""Complexity contracts, counted, not timed.
+
+Line events inside the package under sys.settrace repeat exactly from
+run to run, so their growth on a scaling family is a deterministic
+measure of Python steps.  Nests and rows of 250 to 2,000 circles must
+grow with a log-log slope of at most 1.1: O(1) Python steps per
+generator, for the sweep and for the operators.  Memory is not fitted
+here: small ints and stepwise container growth bend its slope at these
+sizes, so tests/test_oracle.py bounds the sweep's peak instead.
+"""
+
+import math
+import os
+import sys
+
+import pytest
+
+import tanglekit
+from tanglekit.lomonoid import count_monoid
+from tanglekit.operators import closed_values
+from tanglekit.oracle import trace_diagram
+
+PACKAGE = os.path.dirname(tanglekit.__file__) + os.sep
+SIZES = (250, 500, 1000, 2000)
+FAMILIES = {
+    "nest": lambda n: ((-2, 0),) * n + ((2, 0),) * n,
+    "row": lambda n: ((-2, 0), (2, 0)) * n,
+}
+ROUTES = {
+    "sweep": trace_diagram,
+    "operators": lambda word: closed_values((word,), count_monoid()),
+}
+
+
+def loglog_slope(points) -> float:
+    """Least-squares slope of log(y) against log(x); 0.0 when the points
+    span fewer than two distinct x (a copy of perfbench's, so that
+    neither the package nor the benchmark changes for a test)."""
+    pts = [(math.log(x), math.log(y)) for x, y in points if x > 0 and y > 0]
+    if len({x for x, _ in pts}) < 2:
+        return 0.0
+    mx = sum(x for x, _ in pts) / len(pts)
+    my = sum(y for _, y in pts) / len(pts)
+    sxx = sum((x - mx) ** 2 for x, _ in pts)
+    sxy = sum((x - mx) * (y - my) for x, y in pts)
+    return sxy / sxx
+
+
+def line_events(call, *args) -> int:
+    """Line events inside the package while call(*args) runs."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def enter(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_counting_is_exact():
+    word = FAMILIES["nest"](50)
+    assert line_events(trace_diagram, word) == line_events(trace_diagram, word) > 0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_python_steps_are_linear(route, family):
+    points = [
+        (n, line_events(ROUTES[route], FAMILIES[family](n))) for n in SIZES
+    ]
+    assert loglog_slope(points) <= 1.1, points

@@ -12,11 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from reference_rewriting import reference_normalize
 from tanglekit import words
+from tanglekit.errors import ResourceLimitError
+from tanglekit.invariants import forest_value, word_value
+from tanglekit.lomonoid import count_monoid, prime_monoid
 from tanglekit.oracle import canonical, trace_diagram
 from tanglekit.rewriting import normalize, to_forest
 from tanglekit.words import decode, encode, format_sym, parse_word
 
 MAX_SYMBOLS = 20
+PRIME = prime_monoid()
+COUNT = count_monoid()
 
 
 @st.composite
@@ -50,3 +55,16 @@ def test_canonical_string_reads_back_as_its_forest(sym):
     # enumerate_forests builds its forests this way
     s = canonical(to_forest(normalize(sym)[0]))
     assert canonical(to_forest(tuple((-2, 0) if ch == "(" else (2, 0) for ch in s))) == s
+
+
+@settings(derandomize=True, database=None, max_examples=140, deadline=None)
+@given(symbol_words(400))
+def test_long_words_sweep_alike_in_both_forms_and_match_the_operators(sym):
+    # normalize stays on short words; the sweep and the operators are
+    # linear in the word, so they take the long ones.
+    forest = trace_diagram(sym)
+    assert forest == trace_diagram(decode(sym))
+    try:
+        assert forest_value(forest, PRIME) == word_value(sym, PRIME)
+    except ResourceLimitError:  # a prime index past the table
+        assert forest_value(forest, COUNT) == word_value(sym, COUNT)

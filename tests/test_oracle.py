@@ -1,6 +1,7 @@
 """Geometric sweep oracle, enumeration, and the completeness report."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -65,9 +66,19 @@ class TestTraceDiagram:
             trace_diagram((Generator("cap", 1, 2),))
 
     def test_orphaned_curves_are_internal(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_innermost_enclosing", lambda left, uf: -1)
+        # Pass 1's two cups on the nest make four finds.  After them,
+        # roots 0 and 2 trade places, so pass 2 files the outer circle
+        # under the inner one, which has already closed.
+        find, calls = oracle._find, []
+
+        def swapped_find(parent, x):
+            calls.append(x)
+            root = find(parent, x)
+            return {0: 2, 2: 0}.get(root, root) if len(calls) > 4 else root
+
+        monkeypatch.setattr(oracle, "_find", swapped_find)
         with pytest.raises(InternalInvariantError, match="orphaned curves"):
-            trace_diagram(((-2, 0), (2, 0)))
+            trace_diagram(((-2, 0), (-2, 0), (2, 0), (2, 0)))
 
     def test_symbol_words_are_decoded(self, word_corpus):
         exhaustive, randoms = word_corpus
@@ -88,6 +99,42 @@ class TestTraceDiagram:
         for _ in range(200):
             sym = words.random_word(rng, 12)
             assert forest_size(trace_diagram(words.decode(sym))) == circle_count(sym)
+
+
+def nest(depth: int) -> tuple:
+    return ((-2, 0),) * depth + ((2, 0),) * depth
+
+
+class TestSweepSize:
+    # Deep nests and wide rows, where a per-closure copy of the strand
+    # list costs most.  Deep forests are compared as canonical strings:
+    # tuple == recurses in C at their depth.
+    def test_deep_nest(self):
+        assert canonical(trace_diagram(nest(8000))) == "(" * 8000 + ")" * 8000
+
+    def test_wide_row(self):
+        assert trace_diagram(((-2, 0), (2, 0)) * 4000) == ((),) * 4000
+
+    def test_one_around_a_wide_row(self):
+        # each inner circle opens beside its closed siblings, inside the outer curve
+        sym = ((-2, 0),) + ((-2, 0), (2, 0)) * 4000 + ((2, 0),)
+        assert canonical(trace_diagram(sym)) == "(" + "()" * 4000 + ")"
+
+    def test_one_curve_with_many_dents(self):
+        # each cap opens inside its own curve and bulges the outside in
+        dents = (words.Generator("cup", 3, 2), words.Generator("cap", 3, 3)) * 4000
+        word = (words.Generator("cup", 1, 2),) + dents + (words.Generator("cap", 1, 2),)
+        assert trace_diagram(word) == ((),)
+
+    def test_deep_nest_memory(self):
+        word = nest(4000)
+        tracemalloc.start()
+        try:
+            trace_diagram(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
 
 class TestCanonical:

@@ -450,6 +450,26 @@ def test_word_text_is_refused(name, text):
         TEXT_CALLS[name](text)
 
 
+WRONG_FORMS = {
+    "lists": [[-2, 0], [2, 0]],
+    "ints": (1, 2),
+    "bytes": b"(-2,0)(2,0)",
+    "texts": ("H(1,2)",),
+}
+# check_validity, normalize and to_forest take symbol words only and
+# unpack them without asking for a form.
+FORM_READERS = sorted(set(TEXT_CALLS) - {"check_validity", "normalize", "to_forest"})
+
+
+@pytest.mark.parametrize("form", sorted(WRONG_FORMS))
+@pytest.mark.parametrize("name", FORM_READERS)
+def test_wrong_word_form_is_refused(name, form):
+    # A word is a tuple of symbols or of Generators; anything else is
+    # bad input, not an AttributeError from deep inside.
+    with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
+        TEXT_CALLS[name](WRONG_FORMS[form])
+
+
 class TestCorpora:
     def test_exhaustive_counts(self):
         words_by_len = {}
