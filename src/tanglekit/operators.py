@@ -18,21 +18,22 @@ off and x = phi(value inside); otherwise two regions merge and
 x = meet of their values (their join is already present, and
 join (+) meet = (+) of both).
 
-Two private kernels edit, in place, a list of region labels (one per
+One loop, `_run`, edits in place a list of region labels (one per
 interval) and a dict from label to value: one value per region, since
-every interval of a region holds the same value.  A cap or a sealing cup
-costs an O(w) memmove of the label list and O(1) Python steps; only a
-merging cup scans the list, with `index`, to relabel one of the two
-regions.  Their input is a valid state, since a TangleState checks
-itself when it is built.  The cup kernel reads x off the labels: the
-flanking intervals share a region exactly when they carry one label.
-`eval_word` and `closed_values` take a word of either form as the
-checked (is_cap, slot) steps of words.slots and words.closed_slots, and
-run the kernels over them on one label list and one dict, so a word
-adds O(1) Python steps per generator to the kernels' cost and a symbol
-word needs no Generator; `closed_values` checks every word, closedness
-included, before it evaluates any.  The public `cap` and `cup` also pay
-a copy and a new TangleState, which checks itself in O(w) Python steps.
+every interval of a region holds the same value.  Its cap and cup edits
+are inline, with the monoid's operations bound to locals.  A cap or a
+sealing cup costs an O(w) memmove of the label list and O(1) Python
+steps; only a merging cup scans the list, with `index`, to relabel one
+of the two regions.  It takes a valid state, since a TangleState checks
+itself when it is built, and checked steps.  A cup reads x off the
+labels: the flanking intervals share a region exactly when they carry
+one label.  `eval_word` and `closed_values` take a word of either form
+as the checked (is_cap, slot) steps of words.slots and
+words.closed_slots and run them, so a word adds O(1) Python steps per
+generator and a symbol word needs no Generator; `closed_values` checks
+every word, closedness included, before it evaluates any.  The public
+`cap` and `cup` check their slot and run one step, so each also pays a
+copy and a new TangleState, which checks itself in O(w) Python steps.
 `random_state` walks the public operators from the trivial state.  With
 0-based intervals: a cap splits interval k-2 into k-2, k-1 (a fresh
 label, the new region, valued zero) and k (the label of k-2 again); a
@@ -55,54 +56,21 @@ from .words import Generator  # noqa: F401  (re-exported)
 from .words import closed_slots, slots, width_profile
 
 
-def _cap_into(labels: list, value: dict, k: int, fresh, zero: Value) -> None:
-    """Cap at slot k, in place; `fresh` labels the new region and no interval may carry it."""
-    n = len(labels)
-    if not 2 <= k <= n + 1:
-        raise ValueError(f"cap slot k={k} outside 2..{n + 1} for width {n}")
-    labels[k - 1:k - 1] = (fresh, labels[k - 2])
-    value[fresh] = zero
-
-
-def _cup_into(labels: list, value: dict, k: int, spec: MonoidSpec) -> None:
-    """Cup at slot k on a state held as labels and region values, edited in place."""
-    n = len(labels)
-    if n < 3:
-        raise ValueError(f"cup needs width >= 3, got {n}")
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"cup slot k={k} outside 2..{n - 1} for width {n}")
-    a, inner, b = labels[k - 2:k + 1]
-    del labels[k - 1:k + 1]
-    if a == b:  # flanking intervals share a region: the one between is sealed
-        value[a] = spec.oplus(value[a], spec.phi(value.pop(inner)))
-        return
-    va, vb = value[a], value.pop(b)
-    value[a] = spec.oplus(spec.join(va, vb), spec.meet(va, vb))
-    i = -1  # b's intervals, on either side of a's, join a's region
-    try:
-        while True:
-            i = labels.index(b, i + 1)
-            labels[i] = a
-    except ValueError:  # no interval labelled b is left
-        pass
-
-
-def _state(labels: list, value: dict, spec: MonoidSpec) -> TangleState:
-    return TangleState(len(labels), tuple(labels), tuple(map(value.__getitem__, labels)), spec)
-
-
 def cap(state: TangleState, k: int) -> TangleState:
     """Insert a new region at slot k: width n -> n+2."""
-    labels, value = list(state.labels), dict(zip(state.labels, state.values))
-    _cap_into(labels, value, k, max(labels) + 1, state.spec.zero)
-    return _state(labels, value, state.spec)
+    if not 2 <= k <= state.n + 1:
+        raise ValueError(f"cap slot k={k} outside 2..{state.n + 1} for width {state.n}")
+    return _run(((True, k),), state)
 
 
 def cup(state: TangleState, k: int) -> TangleState:
     """Close the region at slot k: width n+2 -> n."""
-    labels, value = list(state.labels), dict(zip(state.labels, state.values))
-    _cup_into(labels, value, k, state.spec)
-    return _state(labels, value, state.spec)
+    n = state.n
+    if n < 3:
+        raise ValueError(f"cup needs width >= 3, got {n}")
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"cup slot k={k} outside 2..{n - 1} for width {n}")
+    return _run(((False, k),), state)
 
 
 def mirror(state: TangleState) -> TangleState:
@@ -142,14 +110,29 @@ def _run(steps, start: TangleState) -> TangleState:
     """The state after the checked (is_cap, slot) steps, run on one
     label list and one region-value dict copied from start."""
     spec, fresh = start.spec, max(start.labels) + 1
+    zero, oplus, join, meet, phi = spec.zero, spec.oplus, spec.join, spec.meet, spec.phi
     labels, value = list(start.labels), dict(zip(start.labels, start.values))
     for is_cap, k in steps:
-        if is_cap:
-            _cap_into(labels, value, k, fresh, spec.zero)
+        if is_cap:  # the fresh label k-1 is the new region; k repeats k-2's label
+            labels[k - 1:k - 1] = (fresh, labels[k - 2])
+            value[fresh] = zero
             fresh += 1
-        else:
-            _cup_into(labels, value, k, spec)
-    return _state(labels, value, spec)
+            continue
+        a, inner, b = labels[k - 2:k + 1]
+        del labels[k - 1:k + 1]
+        if a == b:  # flanking intervals share a region: the one between is sealed
+            value[a] = oplus(value[a], phi(value.pop(inner)))
+            continue
+        va, vb = value[a], value.pop(b)
+        value[a] = oplus(join(va, vb), meet(va, vb))
+        i = -1  # b's intervals, on either side of a's, join a's region
+        try:
+            while True:
+                i = labels.index(b, i + 1)
+                labels[i] = a
+        except ValueError:  # no interval labelled b is left
+            pass
+    return TangleState(len(labels), tuple(labels), tuple(map(value.__getitem__, labels)), spec)
 
 
 def eval_word(word, start: TangleState) -> TangleState:

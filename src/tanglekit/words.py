@@ -31,7 +31,11 @@ with pre = sum of c_j over j < i and post = sum over j > i,
     c_i = -2:  |d_i| <= -pre       and   |d_i| <= post - 2
 
 (-pre is the point count below generator i, post the count above it;
-an empty word is valid).
+an empty word is valid).  As post = total - pre - c_i, the two bounds
+are one: |d_i| <= floor - pre - 2 for a cap and |d_i| <= floor - pre
+for a cup, where floor = min(total, 0).  A valid nonempty word has
+total 0, so at incoming width w = 1 + post they read |d| <= w - 1 and
+|d| <= w - 3, which `slots` checks as it lists a symbol word's steps.
 
 Local rewrites (each an equality of diagrams, applied at a position):
 
@@ -144,22 +148,29 @@ def slots(word, width: int) -> list[tuple[bool, int]]:
     """Check a word of either form against the incoming width, then list
     its generators as (is_cap, slot) pairs in the order they act,
     rightmost first.  A generator word is checked by width_profile; a
-    symbol word, which is closed, by the validity condition, and it must
-    start at width 1."""
+    symbol word, which is closed, by the validity condition in the same
+    pass from the right, and it must start at width 1; require_valid
+    reports any failure."""
     if not is_sym_word(word):
         width_profile(word, width)
         return [(gen.kind == "cap", gen.k) for gen in reversed(word)]
     if width != 1:
         raise ValueError(f"a symbol word starts at width 1, not {width}")
-    require_valid(word)
     steps = []
     for c, d in reversed(word):
-        if c == 2:
+        if d % 2:
+            break
+        if c == 2 and -width < d < width:
             steps.append((True, (d + width + 3) // 2))
-        else:
+        elif c == -2 and 2 - width < d < width - 2:
             steps.append((False, (d + width + 1) // 2))
+        else:
+            break
         width += c
-    return steps
+    if len(steps) == len(word) and width == 1:
+        return steps
+    require_valid(word)
+    raise InternalInvariantError("slots refused a symbol word that require_valid accepts")
 
 
 def closed_slots(word) -> list[tuple[bool, int]]:
@@ -188,28 +199,23 @@ def is_sym_word(word) -> bool:
 
 def check_validity(sym) -> int | None:
     """None if the word satisfies the validity condition, else the
-    0-based index of the first symbol violating either bound."""
-    _refuse_text(sym)
+    0-based index of the first symbol violating either bound, or whose
+    c is not +-2."""
+    if not is_sym_word(sym) and sym:
+        raise ValueError("a symbol word is needed, not a generator word")
     total = sum(c for c, _ in sym)
+    floor = total if total < 0 else 0
     pre = 0
     for i, (c, d) in enumerate(sym):
-        if out_of_bounds(c, d, pre, total):
+        bound = floor - pre - 2 if c == 2 else floor - pre
+        if c not in (2, -2) or abs(d) > bound:
             return i
         pre += c
     return None
 
 
-def out_of_bounds(c: int, d: int, pre: int, total: int) -> bool:
-    """Whether symbol (c, d) breaks the validity condition, given the
-    sum `pre` of c over the symbols before it and the word's sum `total`."""
-    post = total - pre - c
-    if c == 2:
-        return abs(d) > -pre - 2 or abs(d) > post
-    return abs(d) > -pre or abs(d) > post - 2
-
-
 def require_valid(sym) -> None:
-    bad = check_validity(sym)  # refuses text before its symbols are unpacked
+    bad = check_validity(sym)  # refuses text and wrong forms before unpacking symbols
     for i, (c, d) in enumerate(sym):
         if c not in (2, -2):
             raise ParseError(f"symbol {i + 1}: first component must be +-2", i + 1)
@@ -226,11 +232,15 @@ def require_valid(sym) -> None:
 def encode(word) -> SymWord:
     """Symbol word of a closed word of either form.  A symbol word comes
     back as a tuple, unchecked: whoever reads its symbols checks them,
-    as normalize does."""
+    as normalize does; a generator word's are read off its slots."""
     if is_sym_word(word):
         return tuple(word)
-    closed_slots(word)
-    sym = tuple(g.symbol() for g in word)
+    sym, width = [], 1
+    for is_cap, k in closed_slots(word):
+        c = 2 if is_cap else -2
+        sym.append((c, 2 * k - width - 2 - c // 2))
+        width += c
+    sym = tuple(reversed(sym))
     if check_validity(sym) is not None:
         raise InternalInvariantError("closed word encoded to an invalid symbol word")
     return sym
@@ -269,32 +279,48 @@ def swap(a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, Symbol]:
 # (H = cap, U = cup).  Symbol form: (c,d)(c,d)... with no separators.
 # Detection: first non-space character '(' means symbol form.
 
+_SYM_PAIR = re.compile(r"(-?[0-9]+),(-?[0-9]+)")
 _SYM_TOKEN = re.compile(r"\((-?[0-9]+),(-?[0-9]+)\)")
 _SYM_RUN = re.compile(r"(?:\(-?[0-9]+,-?[0-9]+\))*")
 _GEN_TOKEN = re.compile(r"([HU])\(([0-9]+),([0-9]+)\)\Z")
 
 
 def parse_sym(text: str) -> SymWord:
-    """One regex match finds the well-formed prefix and one findall
-    reads its tokens; errors are reported in symbol order, a bad c or
-    odd d in the prefix before the bad token that ends it.  Leading
-    zeros and -0 are accepted: (02,0) reads as (2,0) and (-02,-00) as
-    (-2,0).  format_sym writes the canonical spelling, so normalize
-    echoes a word in that spelling."""
+    """Split the text at ")(" and read each distinct token once, with
+    one fullmatch and the c and d checks; the word maps its tokens
+    through that table.  Only when this read fails does a token-by-token
+    loop run, to report the first error in symbol order: one regex match
+    finds the well-formed prefix and one findall reads its tokens, so a
+    bad c or odd d in the prefix comes before the bad token that ends
+    it.  Leading zeros and -0 are accepted: (02,0) reads as (2,0) and
+    (-02,-00) as (-2,0).  format_sym writes the canonical spelling, so
+    normalize echoes a word in that spelling."""
     text = text.strip()
+    if not text:
+        return ()
+    if text[0] == "(" and text[-1] == ")":
+        tokens = text[1:-1].split(")(")
+        table = {}
+        for token in dict.fromkeys(tokens):  # first appearance, so in symbol order
+            m = _SYM_PAIR.fullmatch(token)
+            if m is None:
+                break
+            c, d = int(m[1]), int(m[2])
+            if c not in (2, -2) or d % 2:
+                break
+            table[token] = (c, d)
+        else:
+            return tuple(map(table.__getitem__, tokens))
     end = _SYM_RUN.match(text).end()
-    out = []
-    for index, (c, d) in enumerate(_SYM_TOKEN.findall(text, 0, end), start=1):
+    found = _SYM_TOKEN.findall(text, 0, end)
+    for index, (c, d) in enumerate(found, start=1):
         c, d = int(c), int(d)
         if c not in (2, -2):
             raise ParseError(f"symbol {index}: first component must be +-2, got {c}", index)
         if d % 2:
             raise ParseError(f"symbol {index}: d={d} must be even", index)
-        out.append((c, d))
-    if end < len(text):
-        index = len(out) + 1
-        raise ParseError(f"symbol {index}: bad token at {text[end:end + 8]!r}", index)
-    return tuple(out)
+    index = len(found) + 1
+    raise ParseError(f"symbol {index}: bad token at {text[end:end + 8]!r}", index)
 
 
 def parse_gen(text: str) -> GenWord:

@@ -2,15 +2,18 @@
 
 Line events inside the package under sys.settrace repeat exactly from
 run to run, so their growth on a scaling family is a deterministic
-measure of Python steps.  Nests and rows of 250 to 2,000 circles must
-grow with a log-log slope of at most 1.1: O(1) Python steps per
-generator, for the sweep and for the operators.  Memory is not fitted
+measure of Python steps.  Nests, rows and random words of 250 to 2,000
+circles must grow with a log-log slope of at most 1.1: O(1) Python
+steps per generator, for the sweep and for the operators.  Reading a
+symbol text costs Python steps per distinct token only, so a nest's
+text costs the same at every depth.  Memory is not fitted
 here: small ints and stepwise container growth bend its slope at these
 sizes, so tests/test_oracle.py bounds the sweep's peak instead.
 """
 
 import math
 import os
+import random
 import sys
 
 import pytest
@@ -19,11 +22,24 @@ import tanglekit
 from tanglekit.lomonoid import count_monoid
 from tanglekit.operators import closed_values
 from tanglekit.oracle import trace_diagram
+from tanglekit.words import format_sym, parse_sym, random_word
 
 PACKAGE = os.path.dirname(tanglekit.__file__) + os.sep
 SIZES = (250, 500, 1000, 2000)
+
+
+def random_words(n):
+    """Random words of up to n circles each, one after another, until
+    they hold at least n circles."""
+    rng, word = random.Random(n), ()
+    while len(word) < 2 * n:
+        word += random_word(rng, n)
+    return word
+
+
 FAMILIES = {
     "nest": lambda n: ((-2, 0),) * n + ((2, 0),) * n,
+    "random": random_words,
     "row": lambda n: ((-2, 0), (2, 0)) * n,
 }
 ROUTES = {
@@ -76,7 +92,12 @@ def test_counting_is_exact():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_python_steps_are_linear(route, family):
-    points = [
-        (n, line_events(ROUTES[route], FAMILIES[family](n))) for n in SIZES
-    ]
+    words = [FAMILIES[family](n) for n in SIZES]
+    points = [(len(word), line_events(ROUTES[route], word)) for word in words]
     assert loglog_slope(points) <= 1.1, points
+
+
+def test_reading_a_nest_costs_the_same_at_every_depth():
+    texts = [format_sym(FAMILIES["nest"](n)) for n in SIZES]
+    counts = [line_events(parse_sym, text) for text in texts]
+    assert len(set(counts)) == 1, counts

@@ -146,6 +146,24 @@ def test_the_rewrite_loop_calls_no_max_or_min():
     assert not referred_names(loop) & {"max", "min"}
 
 
+def test_one_kernel_loop():
+    # _run does every cap and cup edit; the public cap and cup run it
+    # for one step, so no second copy of a kernel can drift from it.
+    defined = {node.name for node in syntax_tree("operators").body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_cap_into", "_cup_into"}
+
+
+def test_the_symbol_loop_of_slots_calls_no_helper():
+    # slots checks a symbol word's bounds inline, as comparisons, and
+    # hands any failure to require_valid for its message.
+    (function,) = [
+        node for node in syntax_tree("words").body
+        if isinstance(node, ast.FunctionDef) and node.name == "slots"
+    ]
+    (loop,) = [node for node in ast.walk(function) if isinstance(node, ast.For)]
+    assert not referred_names(loop) & {"out_of_bounds", "abs", "max", "min"}
+
+
 def test_invariants_never_decode():
     # Symbol words go to the operators as they are; a decode here would
     # bring back one Generator per symbol on every evaluation.

@@ -76,10 +76,9 @@ class TestCap:
 
     def test_slot_range(self):
         st = trivial(COUNT)
-        with pytest.raises(ValueError):
-            cap(st, 1)
-        with pytest.raises(ValueError):
-            cap(st, 3)
+        for k in (1, 3):
+            with pytest.raises(ValueError, match=rf"^cap slot k={k} outside 2\.\.2 for width 1$"):
+                cap(st, k)
 
     def test_outputs_validate(self):
         rng = random.Random(0)
@@ -149,6 +148,13 @@ class TestCup:
     def test_width_guard(self):
         with pytest.raises(ValueError):
             cup(trivial(COUNT), 2)
+
+    def test_slot_range(self):
+        # checked before the state is read, not caught by an unpacking error
+        st = cap(trivial(COUNT), 2)
+        for k in (1, 3):
+            with pytest.raises(ValueError, match=rf"^cup slot k={k} outside 2\.\.2 for width 3$"):
+                cup(st, k)
 
 
 class TestMirror:

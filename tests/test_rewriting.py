@@ -16,6 +16,7 @@ from reference_rewriting import (
     reference_forest_string,
     reference_normalize,
 )
+from reference_words import out_of_bounds
 from tanglekit import rewriting, words
 from tanglekit.errors import InternalInvariantError, ResourceLimitError
 from tanglekit.oracle import canonical, trace_diagram
@@ -207,7 +208,7 @@ class TestRewriteSites:
             if len(calls) == swaps_before:
                 j = 0 if side == "left" else 1
                 c, here = new[j][0], pre + j * new[0][0]
-                new[j] = (c, next(d for d in count(0, 2) if words.out_of_bounds(c, d, here, total)))
+                new[j] = (c, next(d for d in count(0, 2) if out_of_bounds(c, d, here, total)))
             calls.append((a, b))
             return tuple(new)
 

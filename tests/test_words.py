@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_rewriting
+import reference_words
 import tanglekit
 from conftest import iter_closed_words
 from reference_rewriting import apply_relation, rewrite_pair
@@ -21,6 +23,7 @@ from tanglekit.words import (
     parse_sym,
     parse_word,
     random_word,
+    slots,
     swap,
     width_profile,
 )
@@ -107,6 +110,11 @@ class TestValidity:
     def test_open_word_flagged(self):
         assert check_validity(((-2, 0),)) is not None
         assert check_validity(((-2, 0), (-2, 0), (2, 0))) is not None
+
+    def test_bad_c_flagged(self):
+        # no bound holds a symbol whose c is not +-2, even where |d| fits
+        assert check_validity(((3, 0),)) == 0
+        assert check_validity(((-2, 0), (0, 0), (2, 0))) == 1
 
     def test_every_valid_word_brackets_correctly(self):
         rng = random.Random(1)
@@ -456,18 +464,22 @@ WRONG_FORMS = {
     "bytes": b"(-2,0)(2,0)",
     "texts": ("H(1,2)",),
 }
-# check_validity, normalize and to_forest take symbol words only and
-# unpack them without asking for a form.
-FORM_READERS = sorted(set(TEXT_CALLS) - {"check_validity", "normalize", "to_forest"})
 
 
 @pytest.mark.parametrize("form", sorted(WRONG_FORMS))
-@pytest.mark.parametrize("name", FORM_READERS)
+@pytest.mark.parametrize("name", sorted(TEXT_CALLS))
 def test_wrong_word_form_is_refused(name, form):
     # A word is a tuple of symbols or of Generators; anything else is
-    # bad input, not an AttributeError from deep inside.
+    # bad input, not an AttributeError or an unpacking error from deep
+    # inside, nor a "normal word" of lists.
     with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
         TEXT_CALLS[name](WRONG_FORMS[form])
+
+
+@pytest.mark.parametrize("name", ["check_validity", "normalize", "to_forest"])
+def test_generator_word_is_refused_where_symbols_are_needed(name):
+    with pytest.raises(ValueError, match="^a symbol word is needed, not a generator word$"):
+        TEXT_CALLS[name](CIRCLE)
 
 
 class TestCorpora:
@@ -490,3 +502,79 @@ class TestCorpora:
             assert random_word(random.Random(seed), 1) == ((-2, 0), (2, 0))
         with pytest.raises(ValueError, match="^max_pairs must be >= 1$"):
             random_word(random.Random(0), 0)
+
+
+def outcome(read, *args):
+    """What read(*args) returns, or the ParseError it raises, message
+    and position included."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.position
+
+
+def spelled(draw, value: int) -> str:
+    """value in decimal, with up to two leading zeros and, for 0, maybe a minus."""
+    sign = "-" if value < 0 or (value == 0 and draw(st.booleans())) else ""
+    return sign + "0" * draw(st.integers(0, 2)) + str(abs(value))
+
+
+@st.composite
+def symbol_texts(draw):
+    """Symbol texts of well-formed (+-2, even d) tokens, in the spellings
+    parse_sym accepts, with whitespace at the ends; a token may repeat."""
+    tokens = draw(st.lists(st.tuples(st.sampled_from((2, -2)), st.integers(-6, 6)), max_size=12))
+    body = "".join(f"({spelled(draw, c)},{spelled(draw, 2 * d)})" for c, d in tokens)
+    return draw(st.sampled_from(("", " ", "\n "))) + body + draw(st.sampled_from(("", " ")))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A symbol text with one character inserted, deleted or replaced."""
+    text = draw(symbol_texts())
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from("()-,0123 x"))
+    kind = draw(st.sampled_from(("insert", "delete", "replace")))
+    if kind == "insert":
+        return text[:at] + char + text[at:]
+    return text[:at] + (char if kind == "replace" else "") + text[at + 1:]
+
+
+class TestOnePassReadersMatchTheReference:
+    """parse_sym reads distinct tokens and slots checks a symbol word in
+    one pass; each must return, or raise, exactly what the token-by-token
+    and three-walk readers of tests/reference_words.py do."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(symbol_texts())
+    def test_parse_sym_on_valid_texts(self, text):
+        assert outcome(parse_sym, text) == outcome(reference_words.parse_sym, text)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(mutated_texts())
+    def test_parse_sym_on_mutated_texts(self, text):
+        assert outcome(parse_sym, text) == outcome(reference_words.parse_sym, text)
+
+    def test_slots_on_every_closed_word(self):
+        for sym in iter_closed_words(8):
+            assert slots(sym, 1) == reference_words.slots(sym)
+
+    @staticmethod
+    def mutants(sym):
+        """sym with one d moved by +-2 or made odd, or one c made bad or
+        flipped, which leaves the word's sum nonzero."""
+        for i, (c, d) in enumerate(sym):
+            for symbol in ((c, d - 2), (c, d + 2), (c, d + 1), (0, d), (3, d), (-c, d)):
+                yield sym[:i] + (symbol,) + sym[i + 1:]
+
+    def test_slots_refuse_as_the_reference_does(self):
+        corpus = [sym for i, sym in enumerate(iter_closed_words(8)) if len(sym) <= 6 or i % 25 == 0]
+        refused = 0
+        for sym in corpus:
+            for bad in self.mutants(sym):
+                expected = outcome(reference_words.slots, bad)
+                assert outcome(slots, bad, 1) == expected, bad
+                refused += expected[0] == "ParseError"
+                if all(c in (2, -2) for c, _ in bad):
+                    assert check_validity(bad) == reference_words.check_validity(bad), bad
+        assert refused > 10_000, refused
