@@ -28,21 +28,20 @@ post = total - pre - c and f = min(total, 0), words' condition reads
 |d| <= f - pre for a cup and |d| <= f - pre - 2 for a cap; for a pair
 at prefix sum p, the new |d|'s are at most f - p in step 1, f - p - 2
 in step 4, f - p - 2 and f - p - 4 in R2, and f - p and f - p + 2 in R4.
-The potential (pos_sum, d_balance) of rewrite_potential moves by
-constants: step 1 adds 1 to pos_sum and +-4 to d_balance (+ forward),
-step 2 adds -4 to d_balance, step 4 adds -1 to pos_sum and 4 to
-d_balance, and an R1 deletion adds 2 to d_balance.  So a rewrite costs
-O(1) work, about 0.9 us in CPython 3.11 on a 2-core VM.  The word is
-rescanned from the start only after an R1 deletion.  One generator
-runs the algorithm: normalize drains it and keeps only the start word
-and the rewrite count, and a trace reruns it when read.  Each step
-carries the word after its rewrite, so a trace replays rule by rule:
-tests/reference_rewriting.py does so with each rule written out.
+So a rewrite costs O(1) work, about 0.9 us in CPython 3.11 on a 2-core
+VM.  The word is rescanned from the start only after an R1 deletion.
+One generator runs the algorithm: normalize drains it and keeps only
+the start word and the rewrite count, and a trace reruns it when read.
+Each step carries the word after its rewrite, and its potential is
+rewrite_potential of that word, measured when asked for, so a trace
+replays rule by rule: tests/reference_rewriting.py does so with each
+rule written out.
 
-Termination is watched two ways: a global rewrite cap (a resource
-limit, CLI-configurable, raising ResourceLimitError), and the
-invariant that the sort potential strictly decreases between
-consecutive step-3 visits with no step-1 pass in between.
+Termination is watched two ways: here by a global rewrite cap (a
+resource limit, CLI-configurable, raising ResourceLimitError), and in
+the tests by the reference, which measures the sort potential from the
+word and checks that it strictly decreases between consecutive step-3
+visits with no step-1 pass in between.
 
 Every choice here is deterministic (leftmost match everywhere), so a
 rerun gives the same trace and the trace is stable enough for golden
@@ -98,7 +97,10 @@ class RewriteStep:
     forward: bool
     pos: int                  # 0-based left index of the rewritten pair
     word: SymWord             # word after the rewrite
-    potential: tuple[int, int]
+
+    @property
+    def potential(self) -> tuple[int, int]:
+        return rewrite_potential(self.word)
 
     def describe(self) -> str:
         mark = "" if self.forward else "'"
@@ -123,8 +125,8 @@ class Trace:
 
     def __iter__(self):
         word = list(self._start)
-        for step, rule, forward, pos, pos_sum, d_balance in _rewrites(word):
-            yield RewriteStep(step, rule, forward, pos, tuple(word), (pos_sum, d_balance))
+        for step, rule, forward, pos in _rewrites(word):
+            yield RewriteStep(step, rule, forward, pos, tuple(word))
 
 
 def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, Trace]:
@@ -150,14 +152,11 @@ def normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[SymWord, T
 
 def _rewrites(word: list):
     """Run the five-step algorithm on a valid word, rewriting the list in
-    place, and yield one flat tuple (step, rule, forward, pos, pos_sum,
-    d_balance) after each rewrite; the last two are the potential.  A
-    full rescan happens only after an R1 deletion."""
+    place, and yield one flat tuple (step, rule, forward, pos) after
+    each rewrite.  A full rescan happens only after an R1 deletion."""
     # pre[i] = sum of c over word[:i]; -pre[i] points lie below symbol i
     pre = list(accumulate((c for c, _ in word), initial=0))
-    total = pre[-1]
-    floor = total if total < 0 else 0  # a cup at prefix sum p needs |d| <= floor - p
-    pos_sum, d_balance = rewrite_potential(word)  # kept up to date by deltas
+    floor = pre[-1] if pre[-1] < 0 else 0  # a cup at prefix sum p needs |d| <= floor - p
     while True:
         n = len(word) - 1  # the pairs start at 0..n-1 until an R1 deletion
         i = 0  # step 1
@@ -174,9 +173,7 @@ def _rewrites(word: list):
                         raise InternalInvariantError(f"rewrite {rule} broke the validity condition")
                     word[i], word[i + 1] = new_a, new_b
                     pre[i + 1] -= 4
-                    pos_sum += 1
-                    d_balance += 4 if forward else -4
-                    yield 1, rule, forward, i, pos_sum, d_balance
+                    yield 1, rule, forward, i
                     # a two-argument builtin max costs more than a rewrite's arithmetic
                     i = i - 1 if i else 0  # pairs left of i - 1 are untouched
                     continue
@@ -191,8 +188,7 @@ def _rewrites(word: list):
                     if abs(new_a[1]) > bound or abs(new_b[1]) > bound - 2:
                         raise InternalInvariantError("rewrite R2 broke the validity condition")
                     word[i], word[i + 1] = new_a, new_b
-                    d_balance -= 4
-                    yield 2, "R2", True, i, pos_sum, d_balance
+                    yield 2, "R2", True, i
                     i = i - 1 if i else 0
                     continue
             elif b[0] == -2 and a[1] < b[1]:
@@ -201,12 +197,10 @@ def _rewrites(word: list):
                 if abs(new_a[1]) > bound or abs(new_b[1]) > bound + 2:
                     raise InternalInvariantError("rewrite R4 broke the validity condition")
                 word[i], word[i + 1] = new_a, new_b
-                d_balance -= 4
-                yield 2, "R4", True, i, pos_sum, d_balance
+                yield 2, "R4", True, i
                 i = i - 1 if i else 0
                 continue
             i += 1
-        last_e3 = (pos_sum, d_balance)
         i, hi, i4 = 0, n, 0  # step 3 scans the pairs i..hi-1, step 4 resumes at i4
         while True:
             while i < hi:  # step 3
@@ -236,30 +230,16 @@ def _rewrites(word: list):
                     raise InternalInvariantError("rewrite R3.1 broke the validity condition")
                 word[i4], word[i4 + 1] = new_a, new_b
                 pre[i4 + 1] += 4
-                pos_sum -= 1
-                d_balance += 4
-                yield 4, "R3.1", True, i4, pos_sum, d_balance
-                here = (pos_sum, d_balance)
-                if here >= last_e3:
-                    raise InternalInvariantError(
-                        "sort potential failed to decrease between step-3 visits"
-                    )
-                last_e3 = here
+                yield 4, "R3.1", True, i4
                 # No R1 existed before this rewrite and only the three pairs it
                 # touched changed, so step 3 need look at those alone.
                 hi = i4 + 2 if i4 + 2 < n else n
                 i = i4 = i4 - 1 if i4 else 0
                 continue
             break
-        # step 3: R1 deletes the (-2,k)(2,k+2) pair at i.  Each (2,*) right
-        # of it moves two places left, and d_balance loses k - (k+2).  A
-        # prefix of m symbols with sum s holds (s + 2m)/4 (2,*) symbols,
-        # and pre[i + 2] == pre[i].
-        pos_sum -= i + 2 + 2 * ((total + 2 * len(word) - pre[i] - 2 * (i + 2)) // 4)
-        d_balance += 2
-        del word[i:i + 2]
+        del word[i:i + 2]  # step 3: R1 deletes the (-2,k)(2,k+2) pair at i
         del pre[i:i + 2]
-        yield 3, "R1", True, i, pos_sum, d_balance  # then step 1 again
+        yield 3, "R1", True, i  # then step 1 again
 
 
 # -- forests ----------------------------------------------------------------

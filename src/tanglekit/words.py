@@ -113,6 +113,7 @@ class Generator:
 Symbol = tuple[int, int]
 SymWord = tuple[Symbol, ...]
 GenWord = tuple[Generator, ...]
+_WRONG_FORM = "a word is a sequence of symbol tuples or of Generators"
 
 
 # -- the arity walker ----------------------------------------------------
@@ -129,18 +130,22 @@ def width_profile(word, start: int | None = None) -> list[int]:
     arity check: it raises on a mismatch, reporting the 1-based
     position."""
     _refuse_text(word)
-    if start is None:
-        start = word[-1].in_width if word else 1
-    widths = [start]
-    for pos in range(len(word) - 1, -1, -1):
-        gen = word[pos]
-        if gen.in_width != widths[-1]:
-            raise ParseError(
-                f"arity mismatch at position {pos + 1}: {gen.text()} expects "
-                f"width {gen.in_width}, incoming width is {widths[-1]}",
-                position=pos + 1,
-            )
-        widths.append(gen.out_width)
+    try:
+        if start is None:
+            start = word[-1].in_width if word else 1
+        widths = [start]
+        for pos in range(len(word) - 1, -1, -1):
+            gen = word[pos]
+            if gen.in_width != widths[-1]:
+                raise ParseError(
+                    f"arity mismatch at position {pos + 1}: {gen.text()} expects "
+                    f"width {gen.in_width}, incoming width is {widths[-1]}",
+                    position=pos + 1,
+                )
+            widths.append(gen.out_width)
+    except AttributeError:
+        require_valid(word)  # a symbol among Generators is a ParseError there
+        raise
     return widths
 
 
@@ -157,16 +162,19 @@ def slots(word, width: int) -> list[tuple[bool, int]]:
     if width != 1:
         raise ValueError(f"a symbol word starts at width 1, not {width}")
     steps = []
-    for c, d in reversed(word):
-        if d % 2:
-            break
-        if c == 2 and -width < d < width:
-            steps.append((True, (d + width + 3) // 2))
-        elif c == -2 and 2 - width < d < width - 2:
-            steps.append((False, (d + width + 1) // 2))
-        else:
-            break
-        width += c
+    try:
+        for c, d in reversed(word):
+            if d % 2:
+                break
+            if c == 2 and -width < d < width:
+                steps.append((True, (d + width + 3) // 2))
+            elif c == -2 and 2 - width < d < width - 2:
+                steps.append((False, (d + width + 1) // 2))
+            else:
+                break
+            width += c
+    except (TypeError, ValueError):  # a symbol that is not a pair, refused below
+        steps = []
     if len(steps) == len(word) and width == 1:
         return steps
     require_valid(word)
@@ -191,7 +199,7 @@ def is_sym_word(word) -> bool:
     if not word or isinstance(word[0], Generator):
         return False
     if not isinstance(word[0], tuple):
-        raise ParseError("a word is a sequence of symbol tuples or of Generators")
+        raise ParseError(_WRONG_FORM)
     return True
 
 
@@ -200,10 +208,16 @@ def is_sym_word(word) -> bool:
 def check_validity(sym) -> int | None:
     """None if the word satisfies the validity condition, else the
     0-based index of the first symbol violating either bound, or whose
-    c is not +-2."""
-    if not is_sym_word(sym) and sym:
+    c is not +-2.  A word that mixes the two forms, or holds a symbol
+    that is not a pair, is a ParseError."""
+    if not is_sym_word(sym) and sym:  # text is refused even when empty
+        if not all(isinstance(gen, Generator) for gen in sym):
+            raise ParseError(_WRONG_FORM)
         raise ValueError("a symbol word is needed, not a generator word")
-    total = sum(c for c, _ in sym)
+    try:
+        total = sum(c for c, _ in sym)
+    except (TypeError, ValueError) as exc:  # an element that is not a pair
+        raise ParseError(_WRONG_FORM) from exc
     floor = total if total < 0 else 0
     pre = 0
     for i, (c, d) in enumerate(sym):
@@ -301,20 +315,26 @@ def parse_sym(text: str) -> SymWord:
     if text[0] == "(" and text[-1] == ")":
         tokens = text[1:-1].split(")(")
         table = {}
-        for token in dict.fromkeys(tokens):  # first appearance, so in symbol order
-            m = _SYM_PAIR.fullmatch(token)
-            if m is None:
-                break
-            c, d = int(m[1]), int(m[2])
-            if c not in (2, -2) or d % 2:
-                break
-            table[token] = (c, d)
-        else:
-            return tuple(map(table.__getitem__, tokens))
+        try:
+            for token in dict.fromkeys(tokens):  # first appearance, so in symbol order
+                m = _SYM_PAIR.fullmatch(token)
+                if m is None:
+                    break
+                c, d = int(m[1]), int(m[2])
+                if c not in (2, -2) or d % 2:
+                    break
+                table[token] = (c, d)
+            else:
+                return tuple(map(table.__getitem__, tokens))
+        except ValueError:  # a number past int()'s digit limit, reported below
+            pass
     end = _SYM_RUN.match(text).end()
     found = _SYM_TOKEN.findall(text, 0, end)
     for index, (c, d) in enumerate(found, start=1):
-        c, d = int(c), int(d)
+        try:
+            c, d = int(c), int(d)
+        except ValueError as exc:
+            raise ParseError(f"symbol {index}: {exc}", index) from exc
         if c not in (2, -2):
             raise ParseError(f"symbol {index}: first component must be +-2, got {c}", index)
         if d % 2:
@@ -333,9 +353,8 @@ def parse_gen(text: str) -> GenWord:
         if not m:
             raise ParseError(f"generator {index}: bad token {token.strip()!r}", index)
         kind = "cap" if m.group(1) == "H" else "cup"
-        n, k = int(m.group(2)), int(m.group(3))
-        try:
-            out.append(Generator(kind, n, k))
+        try:  # int() refuses a number past its digit limit, Generator a bad slot
+            out.append(Generator(kind, int(m.group(2)), int(m.group(3))))
         except ValueError as exc:
             raise ParseError(f"generator {index}: {exc}", index) from exc
     return tuple(out)

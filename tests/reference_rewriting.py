@@ -99,9 +99,7 @@ def reference_normalize(sym, max_rewrites: int = DEFAULT_MAX_REWRITES) -> tuple[
     def record(step: int, rule: str, forward: bool, pos: int, new_word: SymWord) -> SymWord:
         if len(trace) >= max_rewrites:
             raise ResourceLimitError(f"rewrite watchdog tripped after {max_rewrites} rewrites")
-        trace.append(
-            RewriteStep(step, rule, forward, pos, new_word, rewrite_potential(new_word))
-        )
+        trace.append(RewriteStep(step, rule, forward, pos, new_word))
         return new_word
 
     def step1(w: SymWord) -> SymWord:

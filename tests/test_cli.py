@@ -103,6 +103,13 @@ class TestExitCodes:
         code, _, err = run(["normalize", "(2,1)"])
         assert code == 1 and "symbol 1" in err
 
+    @pytest.mark.parametrize("word, where", [
+        ("(N,0)(2,0)", "symbol 1"), ("U(1,2);H(1,N)", "generator 2"),
+    ])
+    def test_over_long_number_is_a_parse_error(self, word, where):
+        code, out, err = run(["validate", word.replace("N", "2" * 5000)])
+        assert (code, out) == (1, "") and err.startswith(f"ERROR: {where}: ")
+
     def test_arity_error_is_one(self):
         code, _, err = run(["validate", "U(3,3);H(1,2)"])
         assert code == 1 and "position 1" in err

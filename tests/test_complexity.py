@@ -6,7 +6,9 @@ measure of Python steps.  Nests, rows and random words of 250 to 2,000
 circles must grow with a log-log slope of at most 1.1: O(1) Python
 steps per generator, for the sweep and for the operators.  Reading a
 symbol text costs Python steps per distinct token only, so a nest's
-text costs the same at every depth.  Memory is not fitted
+text costs the same at every depth.  normalize's steps must grow with
+its rewrite count at a slope of at most 1.1 on random words of 40 to
+160 symbols: O(1) Python steps per rewrite.  Memory is not fitted
 here: small ints and stepwise container growth bend its slope at these
 sizes, so tests/test_oracle.py bounds the sweep's peak instead.
 """
@@ -101,3 +103,23 @@ def test_reading_a_nest_costs_the_same_at_every_depth():
     texts = [format_sym(FAMILIES["nest"](n)) for n in SIZES]
     counts = [line_events(parse_sym, text) for text in texts]
     assert len(set(counts)) == 1, counts
+
+
+def random_word_of(n):
+    """The first random word of exactly n symbols that a generator
+    seeded with n draws."""
+    rng = random.Random(n)
+    while len(word := random_word(rng, n // 2)) != n:
+        pass
+    return word
+
+
+def test_normalize_steps_per_rewrite_are_constant():
+    # O(1) Python steps per rewrite: line events grow with the rewrite
+    # count, not with the rewrite count times the word's length, as they
+    # would if a scan restarted at 0 after each rewrite.
+    points = []
+    for n in (40, 80, 160):
+        word = random_word_of(n)
+        points.append((len(tanglekit.normalize(word)[1]), line_events(tanglekit.normalize, word)))
+    assert loglog_slope(points) <= 1.1, points

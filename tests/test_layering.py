@@ -146,6 +146,19 @@ def test_the_rewrite_loop_calls_no_max_or_min():
     assert not referred_names(loop) & {"max", "min"}
 
 
+def test_the_rewrite_loop_keeps_no_potential():
+    # A trace measures each step's potential from its word; the loop
+    # yields (step, rule, forward, pos) and carries no potential of its
+    # own, so no hand-derived delta can drift from rewrite_potential.
+    (loop,) = [
+        node for node in syntax_tree("rewriting").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_rewrites"
+    ]
+    assert not referred_names(loop) & {"pos_sum", "d_balance", "last_e3", "rewrite_potential"}
+    yielded = [node.value for node in ast.walk(loop) if isinstance(node, ast.Yield)]
+    assert yielded and all(isinstance(value, ast.Tuple) and len(value.elts) == 4 for value in yielded)
+
+
 def test_one_kernel_loop():
     # _run does every cap and cup edit; the public cap and cup run it
     # for one step, so no second copy of a kernel can drift from it.

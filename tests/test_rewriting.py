@@ -1,5 +1,6 @@
 """The normalization algorithm, potentials, factors, and forests."""
 
+import inspect
 import random
 import re
 import tracemalloc
@@ -18,6 +19,7 @@ from reference_rewriting import (
 )
 from reference_words import out_of_bounds
 from tanglekit import rewriting, words
+from tanglekit.cli import build_parser
 from tanglekit.errors import InternalInvariantError, ResourceLimitError
 from tanglekit.oracle import canonical, trace_diagram
 from tanglekit.rewriting import Forest, normalize, rewrite_potential, to_forest
@@ -133,6 +135,11 @@ class TestNormalize:
         with pytest.raises(ResourceLimitError, match=f"after {needed - 1} rewrites"):
             normalize(TRACED, max_rewrites=needed - 1)
 
+    def test_default_watchdog_is_a_million_rewrites(self):
+        # the documented default, of normalize and of normalize --max-steps
+        assert inspect.signature(normalize).parameters["max_rewrites"].default == 10**6
+        assert build_parser().parse_args(["normalize", "(-2,0)(2,0)"]).max_steps == 10**6
+
     def test_negative_cap_is_bad_input(self):
         # a word needing rewrites and a word needing none alike
         for sym in (HUMP, ((-2, 0), (2, 0))):
@@ -194,9 +201,19 @@ class TestRewriteSites:
         # At the first rewrite of this kind, swap returns one symbol with
         # the smallest even |d| that out_of_bounds refuses at its place:
         # the loop must stop there, so no site's bound is looser.
+        self.refuse_at(monkeypatch, kind, side, 0)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: f"step{kind[0]}-{kind[1]}-{kind[2]}")
+    def test_each_site_refuses_the_first_invalid_d_at_its_last_rewrite(self, monkeypatch, kind, side):
+        # By the last rewrite of a kind the prefix sums have moved many
+        # times, so a prefix sum kept wrongly shows as a looser bound.
+        self.refuse_at(monkeypatch, kind, side, -1)
+
+    def refuse_at(self, monkeypatch, kind, side, which):
         word, total = self.SITE_WORD, sum(c for c, _ in self.SITE_WORD)
         _, ref_trace = reference_normalize(word)
-        at = next(k for k, s in enumerate(ref_trace) if (s.step, s.rule, s.forward) == kind)
+        at = [k for k, s in enumerate(ref_trace) if (s.step, s.rule, s.forward) == kind][which]
         before = ref_trace[at - 1].word if at else word
         pre = sum(c for c, _ in before[:ref_trace[at].pos])
         swaps_before = sum(s.rule != "R1" for s in ref_trace[:at])

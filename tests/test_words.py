@@ -350,6 +350,12 @@ class TestParsing:
             parse_gen("U(1,2);H(1,4)")
         assert excinfo.value.position == 2
 
+    @pytest.mark.parametrize("text, position", [("H(1,N)", 1), ("U(1,2);H(N,2)", 2)])
+    def test_over_long_generator_number_is_a_positioned_error(self, text, position):
+        with pytest.raises(ParseError, match=f"^generator {position}: ") as excinfo:
+            parse_gen(text.replace("N", "2" * 5000))
+        assert excinfo.value.position == position
+
     def test_garbage(self):
         with pytest.raises(ParseError):
             parse_word("hello")
@@ -397,6 +403,20 @@ class TestSymbolParseErrors:
     ])
     def test_accepted_spellings(self, text, word):
         assert parse_sym(text) == word
+
+    @pytest.mark.parametrize("text, position", [
+        ("(N,0)(2,0)", 1),
+        ("(-2,0)(2,N)", 2),
+        # symbol order holds past a number no int() reads
+        ("(-2,0)(N,0)(3,0)", 2),
+        ("(-2,0)(3,0)(N,0)", 2),
+    ])
+    def test_over_long_number_is_a_positioned_error(self, text, position):
+        # No valid word holds a number past int()'s digit limit.
+        text = text.replace("N", "2" * 5000)
+        with pytest.raises(ParseError, match=f"^symbol {position}: ") as excinfo:
+            parse_sym(text)
+        assert excinfo.value.position == position
 
     def test_long_word_roundtrips(self):
         sym = random_word(random.Random(15), 50_000)
@@ -474,6 +494,33 @@ def test_wrong_word_form_is_refused(name, form):
     # inside, nor a "normal word" of lists.
     with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
         TEXT_CALLS[name](WRONG_FORMS[form])
+
+
+MIXED_FORMS = {
+    "symbol then generator": ((-2, 0), Generator("cap", 1, 2)),
+    "generator then symbol": (Generator("cup", 1, 2), (2, 0)),
+    "triple": ((-2, 0, 1), (2, 0)),
+    "single": ((-2,), (2, 0)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(MIXED_FORMS))
+@pytest.mark.parametrize("name", sorted(set(TEXT_CALLS) - {"encode"}))
+def test_mixed_or_non_pair_word_is_refused(name, form):
+    # Every element of a word has its first element's form, and a symbol
+    # is a pair; the check runs only where such a word fails.
+    with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
+        TEXT_CALLS[name](MIXED_FORMS[form])
+
+
+def test_encode_reads_only_a_generator_words_elements():
+    # A symbol word comes back unchecked, for its reader to check.
+    for form, word in MIXED_FORMS.items():
+        if isinstance(word[0], Generator):
+            with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
+                encode(word)
+        else:
+            assert encode(word) == word, form
 
 
 @pytest.mark.parametrize("name", ["check_validity", "normalize", "to_forest"])
