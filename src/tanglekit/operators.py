@@ -40,7 +40,8 @@ label, the new region, valued zero) and k (the label of k-2 again); a
 cup folds intervals k-2 and k into one and drops k-1.  If k-2 and k
 carry one label, the region of k-1 is sealed off and leaves the dict.
 Otherwise the two regions merge: the intervals labelled like k gain the
-label of k-2, and the merged region holds join (+) x.
+label of k-2, and the merged region holds the (+) of their values: the
+paper's join (+) meet, by axiom P2, so no cup calls a lattice operation.
 
 A word of generators is evaluated right-to-left: the rightmost factor
 is the topmost piece of the diagram and is applied first.
@@ -110,7 +111,7 @@ def _run(steps, start: TangleState) -> TangleState:
     """The state after the checked (is_cap, slot) steps, run on one
     label list and one region-value dict copied from start."""
     spec, fresh = start.spec, max(start.labels) + 1
-    zero, oplus, join, meet, phi = spec.zero, spec.oplus, spec.join, spec.meet, spec.phi
+    zero, oplus, phi = spec.zero, spec.oplus, spec.phi
     labels, value = list(start.labels), dict(zip(start.labels, start.values))
     for is_cap, k in steps:
         if is_cap:  # the fresh label k-1 is the new region; k repeats k-2's label
@@ -123,8 +124,7 @@ def _run(steps, start: TangleState) -> TangleState:
         if a == b:  # flanking intervals share a region: the one between is sealed
             value[a] = oplus(value[a], phi(value.pop(inner)))
             continue
-        va, vb = value[a], value.pop(b)
-        value[a] = oplus(join(va, vb), meet(va, vb))
+        value[a] = oplus(value[a], value.pop(b))  # = join (+) meet, by P2
         i = -1  # b's intervals, on either side of a's, join a's region
         try:
             while True:

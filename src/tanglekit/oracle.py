@@ -37,17 +37,17 @@ def trace_diagram(word) -> Forest:
     InternalInvariantError.
 
     Two passes over the slots, each O(1) Python steps per generator.
-    Pass 1 joins strands into curves: a cup on two strands of one curve
-    closes it, a cup on two curves joins them.  Pass 2 replays the
-    slots with `row`, which holds for each live strand the innermost
-    final curve just to its right; left of the first strand lies
-    outside every curve.  The region a cap of curve c opens in belongs
-    to c or to c's parent, and at c's first cap to the parent, so
-    that cap records it.  A cap in c itself bulges the outside in, so
-    the region between its strands belongs to the parent; a cap in the
-    parent bulges c's inside out.  A cup removes two strands and the
-    regions right of them; the region right of the pair is the one
-    left of it.
+    Pass 1 joins strands into curves, one union-find node per cap: a cup
+    on two strands of one curve closes it, a cup on two curves joins
+    them.  Pass 2 replays the slots with `row`, which holds for each
+    live strand the innermost final curve just to its right; left of the
+    first strand lies outside every curve.  The region a cap of curve c
+    opens in belongs to c or to c's parent, and at c's first cap to the
+    parent, so that cap records it.  A cap in c itself bulges the
+    outside in, so the region between its strands belongs to the parent;
+    a cap in the parent bulges c's inside out.  A cup removes two
+    strands and the regions right of them; the region right of the pair
+    is the one left of it.
 
     Why this holds: on any row each final curve's strands pair up like
     brackets, and the brackets of disjoint curves nest; a cap or a cup
@@ -65,9 +65,9 @@ def trace_diagram(word) -> Forest:
     for is_cap, k in steps:
         at = k - 2  # the generator's two points sit at slots k-1, k
         if is_cap:
-            fresh = len(parent)
-            parent += (fresh, fresh)
-            strands[at:at] = (fresh, fresh + 1)
+            fresh = len(parent)  # both strands of a cap start on one curve
+            parent.append(fresh)
+            strands[at:at] = (fresh, fresh)
         else:
             a, b = _find(parent, strands[at]), _find(parent, strands[at + 1])
             if a == b:
@@ -85,7 +85,7 @@ def trace_diagram(word) -> Forest:
         at = k - 2
         if is_cap:
             c = _find(parent, fresh)
-            fresh += 2
+            fresh += 1
             inner = row[at - 1] if at else None
             outer = up.setdefault(c, inner)
             row[at:at] = (outer, c) if inner == c else (c, inner)

@@ -22,7 +22,10 @@ right): (2,d) is a cap at slot (d+w+3)/2 and (-2,d) a cup at slot
 `slots` checks a word of either form and lists its (is_cap, slot)
 steps, by this inverse for symbols; `closed_slots` also checks that the
 word ends at width 1.  The operators, the sweep and the codec read
-words only through these two.
+words only through these two.  A symbol is a tuple of two ints, but
+`slots` reads one only as far as its arithmetic needs, so the operators
+and the sweep may answer for a list pair, or a first c of -2.0, as for
+its ints.
 
 Validity condition for a symbol word (c_1,d_1)...(c_m,d_m): for each i,
 with pre = sum of c_j over j < i and post = sum over j > i,
@@ -145,7 +148,7 @@ def width_profile(word, start: int | None = None) -> list[int]:
             widths.append(gen.out_width)
     except AttributeError:
         require_valid(word)  # a symbol among Generators is a ParseError there
-        raise
+        raise ValueError("a generator word is needed, not a symbol word") from None
     return widths
 
 
@@ -167,14 +170,14 @@ def slots(word, width: int) -> list[tuple[bool, int]]:
             if d % 2:
                 break
             if c == 2 and -width < d < width:
-                steps.append((True, (d + width + 3) // 2))
+                steps.append((True, (d + width + 3) >> 1))
             elif c == -2 and 2 - width < d < width - 2:
-                steps.append((False, (d + width + 1) // 2))
+                steps.append((False, (d + width + 1) >> 1))
             else:
                 break
             width += c
-    except (TypeError, ValueError):  # a symbol that is not a pair, refused below
-        steps = []
+    except (TypeError, ValueError) as exc:  # not a pair, or a float or text in one
+        raise ParseError(_WRONG_FORM) from exc
     if len(steps) == len(word) and width == 1:
         return steps
     require_valid(word)
@@ -209,7 +212,7 @@ def check_validity(sym) -> int | None:
     """None if the word satisfies the validity condition, else the
     0-based index of the first symbol violating either bound, or whose
     c is not +-2.  A word that mixes the two forms, or holds a symbol
-    that is not a pair, is a ParseError."""
+    that is not a tuple of two ints, is a ParseError."""
     if not is_sym_word(sym) and sym:  # text is refused even when empty
         if not all(isinstance(gen, Generator) for gen in sym):
             raise ParseError(_WRONG_FORM)
@@ -220,7 +223,10 @@ def check_validity(sym) -> int | None:
         raise ParseError(_WRONG_FORM) from exc
     floor = total if total < 0 else 0
     pre = 0
-    for i, (c, d) in enumerate(sym):
+    for i, symbol in enumerate(sym):
+        c, d = symbol
+        if not (isinstance(symbol, tuple) and isinstance(c, int) and isinstance(d, int)):
+            raise ParseError(_WRONG_FORM)
         bound = floor - pre - 2 if c == 2 else floor - pre
         if c not in (2, -2) or abs(d) > bound:
             return i
@@ -270,6 +276,7 @@ def decode(sym) -> GenWord:
     for (is_cap, k), symbol in zip(steps, reversed(sym)):
         gen = Generator("cap", width, k) if is_cap else Generator("cup", width - 2, k)
         if gen.symbol() != symbol:
+            require_valid(sym)  # a list pair is a ParseError there
             raise InternalInvariantError(f"decode built {gen.text()} for the symbol {symbol}")
         out.append(gen)
         width = gen.out_width

@@ -37,6 +37,8 @@ FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
 
 # The test files that are a module's own; test_<module>.py by default.
 TEST_FILES = {
+    "errors": ("test_cli.py",),
+    "primes": ("test_invariants.py", "test_complexity.py"),
     "rewriting": ("test_rewriting.py", "test_differential.py"),
 }
 
@@ -44,40 +46,32 @@ TEST_FILES = {
 # the original.  A mutation reads "old -> new", with " #k" when the same
 # token occurs k > 1 times on its line.
 _EVEN = "every d and every bound is even, so moving a bound by 1 changes no comparison"
-_TOTAL = "a valid word's c sum to 0, so floor is 0 either way"
 _FIRST = ("a valid word starts with (-2,0) and then a cap with d == 0 or a cup, "
           "which no rewrite matches at pair 0")
 _LAST = "pair (-1, 0) and pair n start at the last symbol, a cap, which steps 2 to 4 never match"
 _RESCAN = "the scan resumes one pair further left, at a pair it already passed, which still does not match"
+_LABEL = "labels only name regions, so fresh labels that start or step higher give equal states"
+_WALK = "random_state's walk draws another valid state of the width for the seed"
+_OPENS = "a branch with opens_left at -1 can never reach opens_left == 0, so it yields no word"
+_PARITY = ("slots has refused an odd d, and a symbol word's width is odd at every step, so "
+           "d never meets an odd bound and an even sum halves alike after +1")
+_ROSSER = "the m-th prime is below m * (log m + log log m) for m >= 6 (Rosser), so the limit has room to spare"
+_ONE = "at width 1 the checks' loop finds no pair of intervals to compare"
+_DESCENDING = "a step-2 rewrite leaves its pair descending, so pair 0 need not be scanned again"
 EQUIVALENT = {
     ("rewriting", "pre = list(accumulate((c for c, _ in word), initial=0))", "0 -> -1"): _EVEN,
-    ("rewriting", "floor = pre[-1] if pre[-1] < 0 else 0  # a cup at prefix sum p needs |d| <= floor - p",
-     "1 -> 0"): _TOTAL,
-    ("rewriting", "floor = pre[-1] if pre[-1] < 0 else 0  # a cup at prefix sum p needs |d| <= floor - p",
-     "1 -> 2"): _TOTAL,
-    ("rewriting", "floor = pre[-1] if pre[-1] < 0 else 0  # a cup at prefix sum p needs |d| <= floor - p",
-     "1 -> 0 #2"): _TOTAL,
-    ("rewriting", "floor = pre[-1] if pre[-1] < 0 else 0  # a cup at prefix sum p needs |d| <= floor - p",
-     "< -> <="): _TOTAL,
-    ("rewriting", "floor = pre[-1] if pre[-1] < 0 else 0  # a cup at prefix sum p needs |d| <= floor - p",
-     "0 -> 1"): _TOTAL,
-    ("rewriting", "floor = pre[-1] if pre[-1] < 0 else 0  # a cup at prefix sum p needs |d| <= floor - p",
-     "0 -> -1"): _TOTAL,
-    ("rewriting", "floor = pre[-1] if pre[-1] < 0 else 0  # a cup at prefix sum p needs |d| <= floor - p",
-     "0 -> 1 #2"): _EVEN,
     ("rewriting", "i = 0  # step 1", "0 -> 1"): _FIRST,
-    ("rewriting", "i = i - 1 if i else 0  # pairs left of i - 1 are untouched", "0 -> 1"):
-        "step 1 never rewrites pair 0, so the else never runs: " + _FIRST,
-    ("rewriting", "i = i - 1 if i else 0  # pairs left of i - 1 are untouched", "0 -> -1"):
-        "step 1 never rewrites pair 0, so the else never runs: " + _FIRST,
     ("rewriting", "i = 0  # step 2; a same-sign swap leaves pre as it is", "0 -> -1"): _LAST,
-    ("rewriting", "bound = floor - pre[i] - 2", "2 -> 1"): _EVEN,
+    ("rewriting", "bound = -pre[i] - 2", "2 -> 1"): _EVEN,
     ("rewriting", "if abs(new_a[1]) > bound or abs(new_b[1]) > bound - 2:", "2 -> 1"): _EVEN,
     ("rewriting", "if abs(new_a[1]) > bound or abs(new_b[1]) > bound + 2:", "2 -> 3"): _EVEN,
     ("rewriting", "i = i - 1 if i else 0", "1 -> 2"): _RESCAN + "; " + _LAST,
-    ("rewriting", "i = i - 1 if i else 0", "0 -> 1"):
-        "a step-2 rewrite leaves its pair descending, so pair 0 need not be scanned again",
+    ("rewriting", "i = i - 1 if i else 0", "0 -> 1"): _DESCENDING,
     ("rewriting", "i = i - 1 if i else 0", "0 -> -1"): _LAST,
+    ("rewriting", "i = i - 1 if i else 0  # R4 can rewrite (-2,0)(-2,2) at pair 0", "1 -> 2"):
+        _RESCAN + "; " + _LAST,
+    ("rewriting", "i = i - 1 if i else 0  # R4 can rewrite (-2,0)(-2,2) at pair 0", "0 -> 1"): _DESCENDING,
+    ("rewriting", "i = i - 1 if i else 0  # R4 can rewrite (-2,0)(-2,2) at pair 0", "0 -> -1"): _LAST,
     ("rewriting", "i, hi, i4 = 0, n, 0  # step 3 scans the pairs i..hi-1, step 4 resumes at i4",
      "0 -> 1"): _FIRST,
     ("rewriting", "i, hi, i4 = 0, n, 0  # step 3 scans the pairs i..hi-1, step 4 resumes at i4",
@@ -91,20 +85,88 @@ EQUIVALENT = {
     ("rewriting", "while i4 < n:  # step 4", "< -> <="): _LAST,
     ("rewriting", "if b[0] == 2 and a[1] <= b[1] - 4:", "4 -> 3"):
         "d's are even, so k <= l - 3 and k <= l - 4 agree",
-    ("rewriting", "bound = floor - pre[i4] - 2", "2 -> 1"): _EVEN,
+    ("rewriting", "bound = -pre[i4] - 2", "2 -> 1"): _EVEN,
     ("rewriting", "hi = i4 + 2 if i4 + 2 < n else n", "2 -> 3"):
         "step 3 also scans the pair after the three a step-4 rewrite touches, which holds no R1",
     ("rewriting", "hi = i4 + 2 if i4 + 2 < n else n", "2 -> 3 #2"):
         "step 3 also scans the pair after the three a step-4 rewrite touches, which holds no R1",
     ("rewriting", "hi = i4 + 2 if i4 + 2 < n else n", "2 -> 1 #2"): "hi is n either way when i4 + 2 == n",
     ("rewriting", "hi = i4 + 2 if i4 + 2 < n else n", "< -> <="): "hi is n either way when i4 + 2 == n",
-    ("rewriting", "i = i4 = i4 - 1 if i4 else 0", "1 -> 2"): _RESCAN + "; " + _LAST,
-    ("rewriting", "i = i4 = i4 - 1 if i4 else 0", "0 -> 1"):
-        "step 4 never rewrites pair 0, so the else never runs: " + _FIRST,
-    ("rewriting", "i = i4 = i4 - 1 if i4 else 0", "0 -> -1"):
-        "step 4 never rewrites pair 0, so the else never runs: " + _FIRST,
+    ("rewriting", "i = i4 = i4 - 1  # pair 0 is (-2,0) then a cup or (2,0): never a step-4 pair", "1 -> 2"):
+        _RESCAN + "; " + _LAST,
     ("rewriting", "return tuple(stack[0])", "0 -> -1"): "the stack holds one list here, so [-1] is [0]",
+    ("operators", "spec, fresh = start.spec, max(start.labels) + 1", "1 -> 2"): _LABEL,
+    ("operators", "labels[k - 1:k - 1] = (fresh, labels[k - 2])", "1 -> 2 #2"):
+        "a slice whose stop is below its start is the empty slice at its start",
+    ("operators", "fresh += 1", "1 -> 2"): _LABEL,
+    ("operators", "return [_run(steps, start).values[0] for steps in checked]", "0 -> -1"):
+        "a closed word ends at width 1, where values[0] is values[-1]",
+    ("operators", "if width < 1 or width % 2 == 0:", "1 -> 0"): "width 0 is even, so it is refused either way",
+    ("oracle", "if opens_left > 0:", "> -> >="): _OPENS,
+    ("oracle", "if opens_left > 0:", "0 -> -1"): _OPENS,
+    ("oracle", "if not 0 <= max_circles <= 8:", "8 -> 9"):
+        "at 9, enumerate_forests(9) raises the same ValueError, after the rows up to 8",
+    ("boolmat", "if rows < 0 or cols < 0 or len(bits) != rows:", "0 -> -1"):
+        "no bits tuple has a negative length, so rows of -1 fails len(bits) != rows",
+    ("boolmat", "m = len(rows[0]) if rows else 0", "0 -> -1"):
+        "every row must have the first row's length, so the last row's gives the same shape or error",
+    ("states", "if n > 1:  # one interval has nothing to compare", "> -> >="): _ONE,
+    ("states", "if n > 1:  # one interval has nothing to compare", "1 -> 0"): _ONE,
+    ("states", "if labels[prev + 1] != labels[p - 1] and (t3 is None or prev < t3[0]):", "< -> <="):
+        "each candidate's prev is another position, so no two candidates tie",
+    ("states", "labels = tuple((row & -row).bit_length() - 1 for row in region.bits)", "1 -> 2"): _LABEL,
+    ("states", "labels = tuple((row & -row).bit_length() - 1 for row in region.bits)", "1 -> 0"): _LABEL,
+    ("states", "return TangleState(1, (0,), (spec.zero,), spec)", "0 -> 1"): _LABEL,
+    ("states", "return TangleState(1, (0,), (spec.zero,), spec)", "0 -> -1"): _LABEL,
+    ("words", "if c == 2 and -width < d < width:", "< -> <="): _PARITY,
+    ("words", "if c == 2 and -width < d < width:", "< -> <= #2"): _PARITY,
+    ("words", "steps.append((True, (d + width + 3) >> 1))", "3 -> 4"): _PARITY,
+    ("words", "elif c == -2 and 2 - width < d < width - 2:", "2 -> 1 #2"): _PARITY,
+    ("words", "elif c == -2 and 2 - width < d < width - 2:", "< -> <="): _PARITY,
+    ("words", "elif c == -2 and 2 - width < d < width - 2:", "< -> <= #2"): _PARITY,
+    ("words", "elif c == -2 and 2 - width < d < width - 2:", "2 -> 1 #3"): _PARITY,
+    ("words", "steps.append((False, (d + width + 1) >> 1))", "1 -> 2"): _PARITY,
+    ("words", "floor = total if total < 0 else 0", "< -> <="): "floor is 0 at total 0 either way",
+    ("words", "floor = total if total < 0 else 0", "0 -> 1"): "floor is 0 at total 0 either way",
+    ("words", "found = _SYM_TOKEN.findall(text, 0, end)", "0 -> -1"): "re reads a negative pos as 0",
+    ("primes", "if n > len(_primes):", "> -> >="):
+        "a fill at n == len(_primes) builds a longer table of the same primes",
+    ("primes", "m = min(max(n, 2 * len(_primes)), MAX_INDEX)", "2 -> 3"):
+        "a fill that triples the table gives the same primes in fewer fills",
+    ("primes", "limit = int(m * (log(m) + log(log(m)))) + 1", "1 -> 2"): _ROSSER,
+    ("primes", "limit = int(m * (log(m) + log(log(m)))) + 1", "1 -> 0"): _ROSSER,
+    ("primes", "flags = bytearray([1]) * ((limit + 1) // 2)  # the odd numbers up to limit", "1 -> 2"):
+        "compress reads a flag of 2 as true, like 1",
+    ("primes", "flags = bytearray([1]) * ((limit + 1) // 2)  # the odd numbers up to limit", "1 -> 2 #2"):
+        "compress stops at the end of the range, so one flag past it is never read",
+    ("primes", "for p in range(3, isqrt(limit) + 1, 2):", "1 -> 2"):
+        "the extra p has p * p past limit, so it crosses nothing off",
+    ("primes", "table.extend(compress(range(1, limit + 1, 2), flags))", "1 -> 2 #2"):
+        "compress stops at the end of the flags, which hold no number past limit",
 }
+# The package's import fills the table past its six seed primes, since
+# lomonoid samples the first 25, so no caller reads a seed prime.
+EQUIVALENT.update({
+    ("primes", '_primes = array("I", [2, 3, 5, 7, 11, 13])', f"{p} -> {p + step}"):
+        "the package's import replaces the seed table before any caller reads it"
+    for p in (2, 3, 5, 7, 11, 13) for step in (1, -1)
+})
+# random_state's walk: each of these mutants changes only which state of
+# the width a seed draws, and every state it draws is valid.
+EQUIVALENT.update({
+    ("operators", line, mutation): _WALK
+    for line, mutations in {
+        "drift = rng.randrange(0, 3)": ("0 -> 1", "3 -> 4", "3 -> 2"),
+        "target_peak = width + 2 * drift": ("2 -> 3", "2 -> 1"),
+        "while state.n < target_peak:": ("< -> <=",),
+        "if rng.randrange(4) == 0:": ("4 -> 5", "4 -> 3", "== -> !=", "0 -> 1", "0 -> -1"),
+        "if state.n + 2 <= target_peak and rng.randrange(3) == 0:":
+            ("2 -> 3", "2 -> 1", "<= -> <", "3 -> 4", "3 -> 2", "== -> !=", "0 -> 1", "0 -> -1"),
+        "state = cap(state, rng.randrange(2, state.n + 2))": ("2 -> 3", "2 -> 1 #2"),
+        "if rng.randrange(5) == 0:": ("5 -> 6", "5 -> 4", "== -> !=", "0 -> 1", "0 -> -1"),
+    }.items()
+    for mutation in mutations
+})
 
 
 def mutants(source: str):

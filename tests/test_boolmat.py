@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from tanglekit import boolmat
+
 import boolean_algebra as bm
 from boolean_algebra import Matrix as BitMatrix
 from operator_spec import (
@@ -114,6 +116,33 @@ class TestOperations:
         a = bm.identity(2)
         with pytest.raises(AttributeError):
             a.rows = 5
+
+
+class TestShapeChecks:
+    """The library's BitMatrix checks its own shape, its bits against
+    its columns, and the index of each entry it reads."""
+
+    def test_empty_shapes(self):
+        for r, c in ((0, 0), (0, 3), (3, 0)):
+            m = boolmat.BitMatrix(r, c, (0,) * r)
+            assert (m.rows, m.cols) == (r, c)
+        m = boolmat.BitMatrix.from_rows([])
+        assert (m.rows, m.cols) == (0, 0)
+
+    @pytest.mark.parametrize("shape", [(-1, 0, ()), (2, -1, (0, 0))])
+    def test_negative_shape(self, shape):
+        with pytest.raises(ValueError, match="^inconsistent BitMatrix shape$"):
+            boolmat.BitMatrix(*shape)
+
+    def test_bit_at_column_cols(self):
+        assert boolmat.BitMatrix(1, 2, (0b10,)).entry(0, 1) == 1
+        with pytest.raises(ValueError, match="^row bits outside column range$"):
+            boolmat.BitMatrix(1, 2, (0b100,))
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+    def test_entry_outside(self, i, j):
+        with pytest.raises(IndexError, match=rf"^entry \({i},{j}\) outside 2x2$"):
+            boolmat.BitMatrix(2, 2, (0b01, 0b10)).entry(i, j)
 
 
 class TestSemiringLaws:

@@ -137,6 +137,13 @@ class TestExitCodes:
         code, _, err = run(["normalize", "--max-steps", "-1", "(-2,0)(2,0)"])
         assert code == 1 and err == "ERROR: --max-steps must be >= 0, got -1\n"
 
+    def test_generator_word_prints_its_widths(self):
+        assert run(["validate", "H(1,2)"]) == (0, "VALID 1 generators hom(0,2)\n", "")
+
+    def test_zero_trials_is_zero(self):
+        code, out, _ = run(["selftest", "--trials", "0"])
+        assert code == 0 and out.endswith("seed 0 trials 0: ALL PASS\n")
+
     def test_negative_trials_is_one(self):
         code, out, err = run(["selftest", "--trials", "-1"])
         assert code == 1 and out == ""

@@ -10,17 +10,21 @@ text costs the same at every depth.  normalize's steps must grow with
 its rewrite count at a slope of at most 1.1 on random words of 40 to
 160 symbols: O(1) Python steps per rewrite.  Memory is not fitted
 here: small ints and stepwise container growth bend its slope at these
-sizes, so tests/test_oracle.py bounds the sweep's peak instead.
+sizes, so tests/test_oracle.py bounds the sweep's peak instead, and the
+sweep's union-find must hold one node per cap.  The prime table is
+refilled a number of times logarithmic in the largest index asked for.
 """
 
 import math
 import os
 import random
 import sys
+from array import array
 
 import pytest
 
 import tanglekit
+from tanglekit import oracle, primes
 from tanglekit.lomonoid import count_monoid
 from tanglekit.operators import closed_values
 from tanglekit.oracle import trace_diagram
@@ -123,3 +127,35 @@ def test_normalize_steps_per_rewrite_are_constant():
         word = random_word_of(n)
         points.append((len(tanglekit.normalize(word)[1]), line_events(tanglekit.normalize, word)))
     assert loglog_slope(points) <= 1.1, points
+
+
+def test_the_sweep_keeps_one_node_per_cap(monkeypatch):
+    # A cap's two strands start on one curve, so pass 1 gives the cap
+    # one union-find node; pass 2 finds the curve of every cap by it.
+    find, seen = oracle._find, []
+
+    def recording(parent, x):
+        seen.append(x)
+        return find(parent, x)
+
+    monkeypatch.setattr(oracle, "_find", recording)
+    for family in sorted(FAMILIES):
+        word = FAMILIES[family](50)
+        seen.clear()
+        trace_diagram(word)
+        assert max(seen) == len(word) // 2 - 1, family
+
+
+def test_prime_table_fills_double(monkeypatch):
+    # Each fill at least doubles the table, so asking for the indices
+    # 1..n in turn fills it at most log2(n / 6) + 2 times from 6 primes.
+    # The bound is checked at every call, so a table that grows by one
+    # index per fill fails after a few sieves, not thousands.
+    monkeypatch.setattr(primes, "_primes", array("I", [2, 3, 5, 7, 11, 13]))
+    fills, table = 0, primes._primes
+    for n in range(1, 10**5 + 1):
+        primes.nth_prime(n)
+        if primes._primes is not table:
+            fills, table = fills + 1, primes._primes
+            assert fills <= math.log2(n / 6) + 2, (n, fills)
+    assert primes.nth_prime(10**5) == 1299709

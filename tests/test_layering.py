@@ -135,28 +135,43 @@ def test_only_words_reads_a_words_form():
         assert not referred_names(syntax_tree(module)) & {"decode", "is_sym_word"}, module
 
 
+def function(module, name):
+    """The syntax tree of a module-level function."""
+    (found,) = [
+        node for node in syntax_tree(module).body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return found
+
+
 def test_the_rewrite_loop_calls_no_max_or_min():
     # In CPython 3.11 a two-argument builtin max or min costs more than
     # the rest of a rewrite's arithmetic, so the loop steps back with a
     # conditional expression; wall time is gated nowhere in the tests.
-    (loop,) = [
-        node for node in syntax_tree("rewriting").body
-        if isinstance(node, ast.FunctionDef) and node.name == "_rewrites"
-    ]
-    assert not referred_names(loop) & {"max", "min"}
+    assert not referred_names(function("rewriting", "_rewrites")) & {"max", "min"}
 
 
 def test_the_rewrite_loop_keeps_no_potential():
     # A trace measures each step's potential from its word; the loop
     # yields (step, rule, forward, pos) and carries no potential of its
     # own, so no hand-derived delta can drift from rewrite_potential.
-    (loop,) = [
-        node for node in syntax_tree("rewriting").body
-        if isinstance(node, ast.FunctionDef) and node.name == "_rewrites"
-    ]
+    loop = function("rewriting", "_rewrites")
     assert not referred_names(loop) & {"pos_sum", "d_balance", "last_e3", "rewrite_potential"}
     yielded = [node.value for node in ast.walk(loop) if isinstance(node, ast.Yield)]
     assert yielded and all(isinstance(value, ast.Tuple) and len(value.elts) == 4 for value in yielded)
+
+
+def test_the_rewrite_loop_keeps_no_floor():
+    # A valid word's c sum to 0, so every validity bound reads -pre[i]
+    # with no min(total, 0) term.
+    assert "floor" not in referred_names(function("rewriting", "_rewrites"))
+
+
+def test_the_kernel_calls_no_lattice_operation():
+    # A merging cup stores va (+) vb, which the monoid axiom P2 makes
+    # equal to the paper's join (+) meet; the kernel needs only zero,
+    # (+) and phi.
+    assert not referred_names(function("operators", "_run")) & {"join", "meet"}
 
 
 def test_one_kernel_loop():
@@ -169,11 +184,7 @@ def test_one_kernel_loop():
 def test_the_symbol_loop_of_slots_calls_no_helper():
     # slots checks a symbol word's bounds inline, as comparisons, and
     # hands any failure to require_valid for its message.
-    (function,) = [
-        node for node in syntax_tree("words").body
-        if isinstance(node, ast.FunctionDef) and node.name == "slots"
-    ]
-    (loop,) = [node for node in ast.walk(function) if isinstance(node, ast.For)]
+    (loop,) = [node for node in ast.walk(function("words", "slots")) if isinstance(node, ast.For)]
     assert not referred_names(loop) & {"out_of_bounds", "abs", "max", "min"}
 
 

@@ -117,6 +117,10 @@ class TestCup:
         assert out.n == 1
         assert out.values == (11,)  # phi(5) = 5th prime
 
+    def test_width_two_is_refused(self):
+        with pytest.raises(ValueError, match="^cup needs width >= 3, got 2$"):
+            cup(TangleState(2, (0, 1), (0, 0), COUNT), 2)
+
     def test_merges_regions(self):
         st = validate(bm.identity(3), (4, 7, 9), COUNT)
         out = cup(st, 2)
@@ -188,6 +192,11 @@ class TestAddValue:
     def test_on_trivial(self):
         assert add_value(trivial(COUNT), 9).values == (9,)
         assert add_value(trivial(PRIME), 6).values == (6,)
+
+    def test_bumps_only_the_first_intervals_region(self):
+        # The ends of an identity state lie in different regions.
+        st = validate(bm.identity(3), (4, 7, 9), COUNT)
+        assert add_value(st, 1).values == (5, 7, 9)
 
     def test_zero_is_identity(self):
         rng = random.Random(6)
@@ -298,6 +307,12 @@ def random_open_word(rng, width, length):
     return tuple(reversed(gens))
 
 
+@pytest.mark.parametrize("width", [0, 2])
+def test_random_state_refuses_unreachable_widths(width):
+    with pytest.raises(ValueError, match=f"^width {width} is not reachable"):
+        random_state(width, 0, COUNT)
+
+
 def worn_state(rng, width, spec):
     """A state of the width whose labels run past it: the regions of a
     random count state after width + 5 cap-cup pairs at random slots,
@@ -384,9 +399,10 @@ class TestLabels:
 
 
 class TestCupBranches:
-    """A cup that seals a region off calls phi and oplus once each and no
-    lattice operation; only a cup that merges two regions calls join and
-    meet.  The calls are counted, so the pin does not hang on wall time."""
+    """No cup calls a lattice operation.  A cup that seals a region off
+    calls phi and oplus once each; a cup that merges two regions calls
+    oplus once, since join (+) meet = (+) by P2.  The calls are counted,
+    so the pin does not hang on wall time."""
 
     @staticmethod
     def counting(spec, calls):
@@ -421,7 +437,7 @@ class TestCupBranches:
             value = word_value(wavy, self.counting(spec, calls))
             assert value == word_value(((-2, 0), (2, 0)), spec), spec.name
             counts = [calls[name] for name in ("phi", "oplus", "join", "meet")]
-            assert counts == [1, 2, 1, 1], spec.name
+            assert counts == [1, 2, 0, 0], spec.name
 
 
 class TestSymbolWords:

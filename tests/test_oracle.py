@@ -67,14 +67,14 @@ class TestTraceDiagram:
 
     def test_orphaned_curves_are_internal(self, monkeypatch):
         # Pass 1's two cups on the nest make four finds.  After them,
-        # roots 0 and 2 trade places, so pass 2 files the outer circle
-        # under the inner one, which has already closed.
+        # roots 0 and 1, the two caps, trade places, so pass 2 files the
+        # outer circle under the inner one, which has already closed.
         find, calls = oracle._find, []
 
         def swapped_find(parent, x):
             calls.append(x)
             root = find(parent, x)
-            return {0: 2, 2: 0}.get(root, root) if len(calls) > 4 else root
+            return {0: 1, 1: 0}.get(root, root) if len(calls) > 4 else root
 
         monkeypatch.setattr(oracle, "_find", swapped_find)
         with pytest.raises(InternalInvariantError, match="orphaned curves"):

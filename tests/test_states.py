@@ -206,6 +206,12 @@ class TestHandBuilt:
             TangleState(2, (0,), (0,), COUNT)
         assert not isinstance(excinfo.value, StateValidationError)
 
+    def test_width_zero(self):
+        with pytest.raises(ValueError, match="^a width-0 state needs n >= 1"):
+            TangleState(0, (), (), COUNT)
+        with pytest.raises(ValueError, match="^width must be >= 1$"):
+            validate(BitMatrix(0, 0, ()), (), COUNT)
+
 
 class TestTrivial:
     def test_per_monoid_zero(self):

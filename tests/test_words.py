@@ -10,7 +10,7 @@ import reference_words
 import tanglekit
 from conftest import iter_closed_words
 from reference_rewriting import apply_relation, rewrite_pair
-from tanglekit import words
+from tanglekit import operators, words
 from tanglekit.errors import InternalInvariantError, ParseError
 from tanglekit.operators import Generator
 from tanglekit.words import (
@@ -25,6 +25,8 @@ from tanglekit.words import (
     random_word,
     slots,
     swap,
+    to_gen_word,
+    to_sym_word,
     width_profile,
 )
 
@@ -318,6 +320,18 @@ class TestRewritePair:
                 assert swap(*swap(a, b, forward=False)) == (a, b)
 
 
+class TestGenerator:
+    def test_width_parameter_zero(self):
+        with pytest.raises(ValueError, match="^generator width parameter 0 must be >= 1$"):
+            Generator("cap", 0, 2)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_slot_outside(self, k):
+        assert Generator("cup", 2, 3).k == 3
+        with pytest.raises(ValueError, match=rf"^slot k={k} outside 2\.\.3 for width parameter 2$"):
+            Generator("cup", 2, k)
+
+
 class TestParsing:
     def test_symbol_form(self):
         assert parse_sym("(-2,0)(2,0)") == ((-2, 0), (2, 0))
@@ -330,6 +344,17 @@ class TestParsing:
         assert parse_word("(-2,0)(2,0)") == ("sym", ((-2, 0), (2, 0)))
         assert parse_word("U(1,2);H(1,2)") == ("gen", CIRCLE)
         assert parse_word("") == ("sym", ())
+
+    def test_unknown_start_position(self):
+        with pytest.raises(ParseError, match="^word must start with") as excinfo:
+            parse_word("x")
+        assert excinfo.value.position == 1
+
+    @pytest.mark.parametrize("text", ["(-2,0)(2,0)", "U(1,2);H(1,2)"])
+    def test_parsed_word_in_either_form(self, text):
+        parsed = parse_word(text)
+        assert to_gen_word(parsed) == CIRCLE
+        assert to_sym_word(parsed) == ((-2, 0), (2, 0))
 
     def test_bad_symbol_token_position(self):
         with pytest.raises(ParseError) as excinfo:
@@ -511,6 +536,37 @@ def test_mixed_or_non_pair_word_is_refused(name, form):
     # is a pair; the check runs only where such a word fails.
     with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
         TEXT_CALLS[name](MIXED_FORMS[form])
+
+
+BAD_ENTRIES = {
+    "float d": ((-2, 0.0), (2, 0)),
+    "float c": ((-2, 0), (2.0, 0)),
+    "text d": ((2, "a"), (-2, 0)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(BAD_ENTRIES))
+@pytest.mark.parametrize("name", sorted(set(TEXT_CALLS) - {"encode"}))
+def test_symbol_of_non_int_entries_is_refused(name, form):
+    # A symbol is a pair of ints: a float or a text entry is bad input,
+    # not a TypeError from deep inside nor a Generator with a float slot.
+    with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
+        TEXT_CALLS[name](BAD_ENTRIES[form])
+
+
+@pytest.mark.parametrize("name", ["check_validity", "decode", "normalize", "to_forest"])
+def test_list_pair_is_refused_where_symbols_are_read(name):
+    # The readers of whole symbols refuse a list; the operators and the
+    # sweep, which read only its entries, may answer for it.
+    with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
+        TEXT_CALLS[name](((-2, 0), [2, 0]))
+
+
+def test_symbol_word_is_refused_where_generators_are_needed():
+    start = tanglekit.trivial(tanglekit.count_monoid())
+    for call in (width_profile, lambda word: operators.eval_steps(word, start)):
+        with pytest.raises(ValueError, match="^a generator word is needed, not a symbol word$"):
+            call(((-2, 0), (2, 0)))
 
 
 def test_encode_reads_only_a_generator_words_elements():
