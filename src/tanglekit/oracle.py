@@ -4,9 +4,9 @@ forest enumeration.
 `trace_diagram` never touches the matrix representation: it sweeps the
 diagram top to bottom, a cap or cup at each slot that words.closed_slots
 lists for a word of either form.  One pass joins strands into curves by
-union-find; a second replays the slots with, for each live strand, the
+union-find; a second walks the caps alone, giving each strand the
 innermost curve just to its right, so each cap reads its curve's parent
-off its left neighbour.  Disagreement between this sweep and the
+off the strand left of it.  Disagreement between this sweep and the
 rewriting pipeline localizes a bug to one side or the other, which is
 the whole point.
 """
@@ -36,18 +36,19 @@ def trace_diagram(word) -> Forest:
     leaves no live strand and no orphaned curve; either one is an
     InternalInvariantError.
 
-    Two passes over the slots, each O(1) Python steps per generator.
-    Pass 1 joins strands into curves, one union-find node per cap: a cup
-    on two strands of one curve closes it, a cup on two curves joins
-    them.  Pass 2 replays the slots with `row`, which holds for each
-    live strand the innermost final curve just to its right; left of the
-    first strand lies outside every curve.  The region a cap of curve c
-    opens in belongs to c or to c's parent, and at c's first cap to the
-    parent, so that cap records it.  A cap in c itself bulges the
-    outside in, so the region between its strands belongs to the parent;
-    a cap in the parent bulges c's inside out.  A cup removes two
-    strands and the regions right of them; the region right of the pair
-    is the one left of it.
+    Pass 1 walks the slots, O(1) Python steps per generator: it joins
+    strands into curves, one union-find node per cap (cap j's strands
+    are 2j and 2j+1, node j), so a cup on two strands of one curve
+    closes it and a cup on two curves joins them; and it records the
+    strand left of each cap, None at slot 2.  Pass 2 walks the caps
+    alone: caps and cups only insert and delete strands, and the region
+    right of a cup's pair is the one left of it, so a strand's `right`,
+    the innermost final curve just right of it, is fixed when its cap
+    is read.  Left of the first strand lies outside every curve.  The
+    region a cap of curve c opens in belongs to c or to c's parent, and
+    at c's first cap to the parent, so that cap records it.  A cap in c
+    itself bulges the outside in, so the region between its strands
+    belongs to the parent; a cap in the parent bulges c's inside out.
 
     Why this holds: on any row each final curve's strands pair up like
     brackets, and the brackets of disjoint curves nest; a cap or a cup
@@ -60,16 +61,18 @@ def trace_diagram(word) -> Forest:
     """
     steps = closed_slots(word)
     parent: list[int] = []
+    left: list[int | None] = []  # per cap, the strand just left of it
     strands: list[int] = []
     closing: list[int] = []  # curve roots, in the order the curves close
     for is_cap, k in steps:
         at = k - 2  # the generator's two points sit at slots k-1, k
         if is_cap:
-            fresh = len(parent)  # both strands of a cap start on one curve
-            parent.append(fresh)
-            strands[at:at] = (fresh, fresh)
+            j = len(parent)  # cap j's strands are 2j and 2j+1, both on node j
+            parent.append(j)
+            left.append(strands[at - 1] if at else None)
+            strands[at:at] = (2 * j, 2 * j + 1)
         else:
-            a, b = _find(parent, strands[at]), _find(parent, strands[at + 1])
+            a, b = _find(parent, strands[at] >> 1), _find(parent, strands[at + 1] >> 1)
             if a == b:
                 closing.append(a)
             else:
@@ -78,19 +81,13 @@ def trace_diagram(word) -> Forest:
     if strands:
         raise InternalInvariantError("sweep ended with live strands on a closed word")
 
-    row: list[int | None] = []
+    right: list[int | None] = []  # per strand, the innermost final curve just right of it
     up: dict[int, int | None] = {}  # curve -> its parent curve, None at the top
-    fresh = 0
-    for is_cap, k in steps:
-        at = k - 2
-        if is_cap:
-            c = _find(parent, fresh)
-            fresh += 1
-            inner = row[at - 1] if at else None
-            outer = up.setdefault(c, inner)
-            row[at:at] = (outer, c) if inner == c else (c, inner)
-        else:
-            del row[at:at + 2]
+    for j, strand in enumerate(left):
+        c = _find(parent, j)
+        inner = None if strand is None else right[strand]
+        outer = up.setdefault(c, inner)
+        right += (outer, c) if inner == c else (c, inner)
 
     children: dict[int, list] = {}
     roots: list[tuple] = []

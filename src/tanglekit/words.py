@@ -209,10 +209,10 @@ def is_sym_word(word) -> bool:
 # -- symbol codec -------------------------------------------------------
 
 def check_validity(sym) -> int | None:
-    """None if the word satisfies the validity condition, else the
-    0-based index of the first symbol violating either bound, or whose
-    c is not +-2.  A word that mixes the two forms, or holds a symbol
-    that is not a tuple of two ints, is a ParseError."""
+    """None if the word satisfies the validity condition, else the 0-based
+    index of the first symbol whose c is not +-2, as require_valid names,
+    or else of the first violating either bound.  A word that mixes the
+    forms, or holds a symbol that is not a tuple of two ints, is a ParseError."""
     if not is_sym_word(sym) and sym:  # text is refused even when empty
         if not all(isinstance(gen, Generator) for gen in sym):
             raise ParseError(_WRONG_FORM)
@@ -228,8 +228,8 @@ def check_validity(sym) -> int | None:
         if not (isinstance(symbol, tuple) and isinstance(c, int) and isinstance(d, int)):
             raise ParseError(_WRONG_FORM)
         bound = floor - pre - 2 if c == 2 else floor - pre
-        if c not in (2, -2) or abs(d) > bound:
-            return i
+        if c not in (2, -2) or abs(d) > bound:  # a bad c moves floor, so name it first
+            return next((j for j, (c_j, _) in enumerate(sym) if c_j not in (2, -2)), i)
         pre += c
     return None
 
@@ -252,15 +252,11 @@ def require_valid(sym) -> None:
 def encode(word) -> SymWord:
     """Symbol word of a closed word of either form.  A symbol word comes
     back as a tuple, unchecked: whoever reads its symbols checks them,
-    as normalize does; a generator word's are read off its slots."""
+    as normalize does; closed_slots checks a generator word first."""
     if is_sym_word(word):
         return tuple(word)
-    sym, width = [], 1
-    for is_cap, k in closed_slots(word):
-        c = 2 if is_cap else -2
-        sym.append((c, 2 * k - width - 2 - c // 2))
-        width += c
-    sym = tuple(reversed(sym))
+    closed_slots(word)
+    sym = tuple(gen.symbol() for gen in word)
     if check_validity(sym) is not None:
         raise InternalInvariantError("closed word encoded to an invalid symbol word")
     return sym
@@ -380,7 +376,12 @@ def parse_word(text: str):
 
 
 def format_sym(sym) -> str:
-    return "".join(f"({c},{d})" for c, d in sym)
+    _refuse_text(sym)
+    try:
+        return "".join(f"({c},{d})" for c, d in sym)
+    except (TypeError, ValueError) as exc:  # an element that is not a pair
+        check_validity(sym)  # a generator word is a ValueError there
+        raise ParseError(_WRONG_FORM) from exc
 
 
 # -- corpora for property suites -----------------------------------------

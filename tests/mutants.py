@@ -129,6 +129,11 @@ EQUIVALENT = {
     ("words", "floor = total if total < 0 else 0", "< -> <="): "floor is 0 at total 0 either way",
     ("words", "floor = total if total < 0 else 0", "0 -> 1"): "floor is 0 at total 0 either way",
     ("words", "found = _SYM_TOKEN.findall(text, 0, end)", "0 -> -1"): "re reads a negative pos as 0",
+    ("words", "can_close = q >= 2", "2 -> 1"): "q moves by 2 from 0, so it is never 1",
+    ("words", "remaining = length - i - 1", "1 -> 0"):
+        "q // 2 has the parity of i and remaining the other one, so q + 2 is never 2 * remaining + 2",
+    ("words", "can_open = q + 2 <= 2 * remaining", "2 -> 1"):
+        "q and 2 * remaining are even, so q + 1 and q + 2 compare with it alike",
     ("primes", "if n > len(_primes):", "> -> >="):
         "a fill at n == len(_primes) builds a longer table of the same primes",
     ("primes", "m = min(max(n, 2 * len(_primes)), MAX_INDEX)", "2 -> 3"):

@@ -139,6 +139,17 @@ class TestShapeChecks:
         with pytest.raises(ValueError, match="^row bits outside column range$"):
             boolmat.BitMatrix(1, 2, (0b100,))
 
+    def test_from_rows_refuses_ragged_rows_and_non_bits(self):
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            boolmat.BitMatrix.from_rows([[1, 0], [1]])
+        with pytest.raises(ValueError, match="^entry 2 is not a bit$"):
+            boolmat.BitMatrix.from_rows([[1, 0], [0, 2]])
+
+    def test_hash_and_repr(self):
+        m = boolmat.BitMatrix.from_rows([[1, 0], [0, 1]])
+        assert hash(m) == hash(boolmat.BitMatrix(2, 2, (0b01, 0b10)))
+        assert repr(m) == "BitMatrix(2x2: 10|01)"
+
     @pytest.mark.parametrize("i, j", [(-1, 0), (2, 0), (0, -1), (0, 2)])
     def test_entry_outside(self, i, j):
         with pytest.raises(IndexError, match=rf"^entry \({i},{j}\) outside 2x2$"):

@@ -1,6 +1,7 @@
 """Byte-exact golden tests for every CLI command, plus error paths."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import pathlib
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from tanglekit import cli, invariants, oracle, rewriting, words
+from tanglekit import cli, invariants, lomonoid, oracle, rewriting, words
 from tanglekit.cli import build_parser, main
 from tanglekit.words import Generator
 
@@ -212,6 +213,31 @@ class TestExitCodes:
         code, out, err = run(["selftest", "--seed", "3", "--trials", "5"])
         assert code == 2 and err == ""
         assert "suite normalize-oracle FAIL (sweep ended with live strands on a closed word)\n" in out
+
+    def test_enumerate_collision_is_two(self, monkeypatch):
+        # The count monoid gives (()) and ()() the same value 2: a
+        # collision is reported as a failed check, not raised.
+        monkeypatch.setattr(oracle, "prime_monoid", lomonoid.count_monoid)
+        code, out, err = run(["enumerate", "--circles", "2"])
+        assert (code, err) == (2, "")
+        assert out == ("- 0 0\n() 1 1\n(()) 2 2\n()() 2 2\nCOLLISION (()) ()() 2\n"
+                       "total 4 forests up to 2 circles, 1 collisions\n")
+        code, out, _ = run(["selftest", "--seed", "3", "--trials", "5"])
+        assert code == 2 and "suite completeness FAIL ()\n" in out
+
+    def test_failed_axiom_fails_selftest_with_two(self, monkeypatch):
+        count = lomonoid.count_monoid
+        monkeypatch.setattr(cli, "count_monoid",
+                            lambda: dataclasses.replace(count(), oplus=lambda a, b: a - b))
+        code, out, _ = run(["selftest", "--seed", "3", "--trials", "5"])
+        assert code == 2
+        assert out.startswith("suite monoid-axioms FAIL (count: ('M1', (249523, 621429, 570665)))\n")
+
+    def test_sweep_disagreement_fails_selftest_with_two(self, monkeypatch):
+        monkeypatch.setattr(oracle, "trace_diagram", lambda word: ())
+        code, out, _ = run(["selftest", "--seed", "3", "--trials", "5"])
+        assert code == 2
+        assert "suite normalize-oracle FAIL ((-2,0)(2,0)(-2,0)(-2,0)(2,2)(-2,-2)(2,2)(2,0))\n" in out
 
     def test_help_is_zero(self):
         code, _, _ = run(["--help"])

@@ -188,6 +188,19 @@ def test_the_symbol_loop_of_slots_calls_no_helper():
     assert not referred_names(loop) & {"out_of_bounds", "abs", "max", "min"}
 
 
+def test_the_sweep_reads_the_word_once():
+    # A strand's innermost curve to its right is fixed when its cap is
+    # read, so pass 2 walks the caps alone: one loop over the slots, and
+    # no second row of strands that replays pass 1's inserts and deletes.
+    sweep = function("oracle", "trace_diagram")
+    over_steps = [
+        node for node in ast.walk(sweep)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Name) and node.iter.id == "steps"
+    ]
+    assert len(over_steps) == 1
+    assert "row" not in referred_names(sweep)
+
+
 def test_invariants_never_decode():
     # Symbol words go to the operators as they are; a decode here would
     # bring back one Generator per symbol on every evaluation.

@@ -109,6 +109,16 @@ class TestInstances:
         assert chain((0, 1), phi=lambda a: 1) != two
         assert diamond() == diamond()
 
+    def test_bad_elements_rejected(self):
+        join = {("x", "x"): "x", ("x", "y"): "y", ("y", "y"): "y"}
+        meet = {("x", "x"): "x", ("x", "y"): "x", ("y", "y"): "y"}
+        with pytest.raises(ValueError, match="^duplicate lattice elements$"):
+            lattice_monoid(["x", "y", "x"], join, meet, minimum="x")
+        with pytest.raises(ValueError, match="^minimum is not an element$"):
+            lattice_monoid(["x", "y"], join, meet, minimum="z")
+        with pytest.raises(ValueError, match=r"^meet\('x', 'y'\) = 'z' is not an element$"):
+            lattice_monoid(["x", "y"], join, meet | {("x", "y"): "z"}, minimum="x")
+
     def test_missing_pair_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             lattice_monoid(["x", "y"], {("x", "x"): "x"}, {("x", "x"): "x"}, minimum="x")

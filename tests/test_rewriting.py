@@ -68,6 +68,13 @@ class TestNormalize:
         [step] = trace
         assert (step.step, step.rule, step.pos) == (3, "R1", 1)
 
+    def test_nonzero_symbol_left_is_internal(self, monkeypatch):
+        # (-2,2)(2,0) matches no rule; only an invalid word can get there
+        monkeypatch.setattr(rewriting, "require_valid", lambda sym: None)
+        with pytest.raises(InternalInvariantError,
+                           match=r"^normalization left a nonzero symbol in \(-2,2\)\(2,0\)$"):
+            normalize(((-2, 2), (2, 0)))
+
     def test_nested_pair_untouched(self):
         out, trace = normalize(NESTED)
         assert out == NESTED and list(trace) == []
