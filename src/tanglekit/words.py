@@ -209,9 +209,10 @@ def is_sym_word(word) -> bool:
 # -- symbol codec -------------------------------------------------------
 
 def check_validity(sym) -> int | None:
-    """None if the word satisfies the validity condition, else the 0-based
-    index of the first symbol whose c is not +-2, as require_valid names,
-    or else of the first violating either bound.  A word that mixes the
+    """None if the word satisfies the validity condition, else a 0-based
+    index: in a word with a c that is not +-2, that of the first symbol
+    whose c is not +-2 or whose d is odd, as require_valid names, or else
+    that of the first symbol violating either bound.  A word that mixes the
     forms, or holds a symbol that is not a tuple of two ints, is a ParseError."""
     if not is_sym_word(sym) and sym:  # text is refused even when empty
         if not all(isinstance(gen, Generator) for gen in sym):
@@ -228,8 +229,13 @@ def check_validity(sym) -> int | None:
         if not (isinstance(symbol, tuple) and isinstance(c, int) and isinstance(d, int)):
             raise ParseError(_WRONG_FORM)
         bound = floor - pre - 2 if c == 2 else floor - pre
-        if c not in (2, -2) or abs(d) > bound:  # a bad c moves floor, so name it first
-            return next((j for j, (c_j, _) in enumerate(sym) if c_j not in (2, -2)), i)
+        if c not in (2, -2) or abs(d) > bound:
+            if all(c_j in (2, -2) for c_j, _ in sym):
+                return i
+            # A bad c moves floor, so name what require_valid names first;
+            # the entries past symbol i are not yet known to be ints.
+            return next(j for j, (c_j, d_j) in enumerate(sym)
+                        if c_j not in (2, -2) or isinstance(d_j, int) and d_j % 2)
         pre += c
     return None
 

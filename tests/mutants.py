@@ -140,15 +140,22 @@ EQUIVALENT = {
         "a fill that triples the table gives the same primes in fewer fills",
     ("primes", "limit = int(m * (log(m) + log(log(m)))) + 1", "1 -> 2"): _ROSSER,
     ("primes", "limit = int(m * (log(m) + log(log(m)))) + 1", "1 -> 0"): _ROSSER,
-    ("primes", "flags = bytearray([1]) * ((limit + 1) // 2)  # the odd numbers up to limit", "1 -> 2"):
-        "compress reads a flag of 2 as true, like 1",
-    ("primes", "flags = bytearray([1]) * ((limit + 1) // 2)  # the odd numbers up to limit", "1 -> 2 #2"):
-        "compress stops at the end of the range, so one flag past it is never read",
-    ("primes", "for p in range(3, isqrt(limit) + 1, 2):", "1 -> 2"):
+    ("primes", "flags = bytearray([1]) * n", "1 -> 2"):
+        "compress and the strike loop read a flag of 2 as true, like 1",
+    ("primes", "for i in range(1, _rank(isqrt(limit) + 1)):", "1 -> 0"):
+        "flag 0, the number 1, is cleared, so candidate 0 strikes nothing",
+    ("primes", "for i in range(1, _rank(isqrt(limit) + 1)):", "1 -> 2 #2"):
         "the extra p has p * p past limit, so it crosses nothing off",
-    ("primes", "table.extend(compress(range(1, limit + 1, 2), flags))", "1 -> 2 #2"):
-        "compress stops at the end of the flags, which hold no number past limit",
+    ("primes", "for j in range(i, i + 8):  # m from p on, one class of m mod 30 each", "8 -> 9"):
+        "the ninth m is p + 30, in the class of p, whose strikes from p * p already cover it",
 }
+# nth_prime's largest limit, 16,441,303, lies below 2**31, so none of
+# these four moves of the assert's bound makes it fire.
+EQUIVALENT.update({
+    ("primes", "assert limit < 2**32  # so no lane's sum carries into the next", mutation):
+        "the assert never fires at any limit nth_prime asks for"
+    for mutation in ("< -> <=", "2 -> 3", "32 -> 33", "32 -> 31")
+})
 # The package's import fills the table past its six seed primes, since
 # lomonoid samples the first 25, so no caller reads a seed prime.
 EQUIVALENT.update({

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from array import array
+from bisect import bisect_right
 
 import pytest
 
@@ -137,6 +138,30 @@ class TestSieve:
             tracemalloc.stop()
         assert current / len(primes._primes) <= 6
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("index, bound", [(64, 16 * 2**10), (648391, 6.5 * 2**20)])
+    def test_fill_peaks_under_its_bound(self, index, bound):
+        # 648,391 is the prime tower's index that eval-wide reaches; a fill
+        # to 64 must not pay for the read-out's block tables in full.
+        tracemalloc.start()
+        try:
+            nth_prime(index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_wheel_against_independent_sieve_at_every_small_limit(self):
+        # Every limit % 30, and the first strikes at 49, 77 and 91.
+        expected = independent_sieve(3001)
+        for limit in range(41, 3001):
+            assert list(primes._sieve(limit)) == expected[:bisect_right(expected, limit)], limit
+
+    @pytest.mark.parametrize("limit", [1234567, 16441303])  # the second is MAX_INDEX's limit
+    def test_wheel_against_independent_sieve_at_large_limits(self, limit):
+        expected = array("I", independent_sieve(limit + 1))
+        assert primes._sieve(limit) == expected
+        assert primes._sieve(expected[-1]) == expected  # a limit that is a prime keeps it
 
     def test_pinned(self):
         assert nth_prime(10**4) == 104729

@@ -137,6 +137,16 @@ class TestValidity:
         with pytest.raises(ParseError, match="^symbol 3: first component must be"):
             tanglekit.normalize(((-2, 0), (2, 0.0), (-1, 0)))
 
+    @pytest.mark.parametrize("sym, bad", [
+        (((-2, 1), (1, 0)), 0),  # an odd d, then a bad c
+        (((-2, 0), (-2, 2), (1, 0), (2, 1)), 2),  # an even d, a bad c, then an odd d
+    ])
+    def test_bad_c_and_odd_d_are_named_as_require_valid_names_them(self, sym, bad):
+        assert check_validity(sym) == bad
+        with pytest.raises(ParseError) as refused:
+            words.require_valid(sym)
+        assert refused.value.position == bad + 1
+
     def test_every_valid_word_brackets_correctly(self):
         rng = random.Random(1)
         for _ in range(300):
