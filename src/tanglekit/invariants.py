@@ -4,8 +4,8 @@ A closed word evaluates on the trivial state to a width-1 state whose
 single value is the invariant (`word_value`).  Independently, a nesting
 forest has a value by structural recursion: a forest is the oplus over
 its trees of phi(value of the tree's children) (`forest_value`, a
-rewriting.fold re-exported here).  The two agree; the test suite pins
-that on exhaustive and random corpora.
+rewriting.fold re-exported here).  `invariant_reports` compares the two,
+the second on the forest oracle.trace_diagram reads off the word.
 
 Under the prime instance the invariant is a complete isotopy invariant
 for systems of disjoint circles (equal values iff equal nesting
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import words
 from .lomonoid import MonoidSpec, Value, count_monoid, format_value, prime_monoid
 from .operators import closed_values
+from .oracle import trace_diagram
 from .primes import nth_prime  # noqa: F401  (re-exported)
-from .rewriting import forest_value, normalize, to_forest
+from .rewriting import forest_value
 
 
 def word_value(word, spec: MonoidSpec) -> Value:
@@ -45,14 +45,12 @@ def invariant_reports(word, spec: MonoidSpec) -> tuple[InvariantReport, Invarian
     Disagreement would falsify the representation; it is reported (and
     mapped to exit code 2 by the CLI), never hidden.
     """
-    direct = word_value(word, spec)
-    normal, _ = normalize(words.encode(word))
-    recursive = forest_value(to_forest(normal), spec)
-    agree = direct == recursive
+    direct = word_value(word, spec)  # checks the word first
+    recursive = forest_value(trace_diagram(word), spec)
     return (
         InvariantReport(spec.name, format_value(direct), "operator"),
         InvariantReport(spec.name, format_value(recursive), "recursive"),
-        agree,
+        direct == recursive,
     )
 
 

@@ -23,9 +23,9 @@ right): (2,d) is a cap at slot (d+w+3)/2 and (-2,d) a cup at slot
 steps, by this inverse for symbols; `closed_slots` also checks that the
 word ends at width 1.  The operators, the sweep and the codec read
 words only through these two.  A symbol is a tuple of two ints, but
-`slots` reads one only as far as its arithmetic needs, so the operators
-and the sweep may answer for a list pair, or a first c of -2.0, as for
-its ints.
+`slots` reads one only as far as its arithmetic needs, so the operators,
+the sweep and invariants.invariant_reports, like circle_count, may
+answer for a list pair, or a first c of -2.0, as for its ints.
 
 Validity condition for a symbol word (c_1,d_1)...(c_m,d_m): for each i,
 with pre = sum of c_j over j < i and post = sum over j > i,
@@ -245,6 +245,8 @@ def require_valid(sym) -> None:
     for i, (c, d) in enumerate(sym):
         if c not in (2, -2):
             raise ParseError(f"symbol {i + 1}: first component must be +-2", i + 1)
+        if not isinstance(d, (int, float)):  # check_validity stops at the first bad symbol
+            raise ParseError(_WRONG_FORM)
         if d % 2:
             raise ParseError(f"symbol {i + 1}: d={d} must be even", i + 1)
     if bad is not None:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from tanglekit import cli, invariants, lomonoid, oracle, rewriting, words
+from tanglekit import cli, lomonoid, oracle, rewriting, words
 from tanglekit.cli import build_parser, main
 from tanglekit.words import Generator
 
@@ -180,6 +180,12 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "LIMIT: prime index 9737333 exceeds the table limit 1000000\n"
 
+    def test_thousand_circles_side_by_side_answer(self):
+        # Already normal, yet past normalize's 10**6 rewrites to find
+        # out; invariant reads the forest off the sweep instead.
+        code, out, err = run(["invariant", "--monoid", "count", "(-2,0)(2,0)" * 1000])
+        assert (code, out, err) == (0, "count operator 1000\ncount recursive 1000\nAGREE\n", "")
+
     def test_depth_eleven_equiv_answers(self):
         code, out, _ = run(["equiv", nest(11), nest(11)])
         assert code == 0 and out == "EQUIVALENT 9737333 9737333\n"
@@ -201,11 +207,12 @@ class TestExitCodes:
         code, out, err = run(["normalize", "(-2,0)(-2,0)(-2,2)(2,2)(2,2)(2,0)"])
         assert (code, out, err) == (2, "", "INTERNAL: rewrite R4 broke the validity condition\n")
 
-    def test_unbalanced_normal_word_is_two(self, monkeypatch):
-        monkeypatch.setattr(invariants, "normalize", lambda sym: (((2, 0), (-2, 0)), None))
-        monkeypatch.setattr(rewriting, "require_valid", lambda sym: None)
+    def test_live_strands_in_invariant_are_two(self, monkeypatch):
+        # invariant reads its forest off the sweep; to_forest's own
+        # "unbalanced word" raise is pinned in tests/test_rewriting.py.
+        monkeypatch.setattr(oracle, "closed_slots", lambda word: words.slots(word, 1)[:-1])
         code, out, err = run(["invariant", "(-2,0)(2,0)"])
-        assert (code, out, err) == (2, "", "INTERNAL: unbalanced word\n")
+        assert (code, out, err) == (2, "", "INTERNAL: sweep ended with live strands on a closed word\n")
 
     def test_live_strands_fail_selftest_with_two(self, monkeypatch):
         # selftest reports a crashed suite itself, on stdout

@@ -4,9 +4,10 @@ Line events inside the package under sys.settrace repeat exactly from
 run to run, so their growth on a scaling family is a deterministic
 measure of Python steps.  Nests, rows and random words of 250 to 2,000
 circles must grow with a log-log slope of at most 1.1: O(1) Python
-steps per generator, for the sweep and for the operators.  Reading a
-symbol text costs Python steps per distinct token only, so a nest's
-text costs the same at every depth.  normalize's steps must grow with
+steps per generator, for the sweep, for the operators and for the
+invariant command's two routes together.  Reading a symbol text costs
+Python steps per distinct token only, so a nest's text costs the same
+at every depth.  normalize's steps must grow with
 its rewrite count at a slope of at most 1.1 on random words of 40 to
 160 symbols: O(1) Python steps per rewrite.  Memory is not fitted
 here: small ints and stepwise container growth bend its slope at these
@@ -25,6 +26,7 @@ import pytest
 
 import tanglekit
 from tanglekit import oracle, primes
+from tanglekit.invariants import invariant_reports
 from tanglekit.lomonoid import count_monoid
 from tanglekit.operators import closed_values
 from tanglekit.oracle import trace_diagram
@@ -51,6 +53,7 @@ FAMILIES = {
 ROUTES = {
     "sweep": trace_diagram,
     "operators": lambda word: closed_values((word,), count_monoid()),
+    "invariant": lambda word: invariant_reports(word, count_monoid()),
 }
 
 

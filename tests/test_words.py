@@ -13,6 +13,7 @@ from conftest import iter_closed_words
 from reference_rewriting import apply_relation, rewrite_pair
 from tanglekit import operators, words
 from tanglekit.errors import InternalInvariantError, ParseError
+from tanglekit.invariants import invariant_reports
 from tanglekit.operators import Generator
 from tanglekit.words import (
     check_validity,
@@ -637,6 +638,20 @@ def test_malformed_words_get_typed_refusals(word):
             call(word)
         except ValueError as exc:
             assert "unpack" not in str(exc), (name, word, exc)
+
+
+@pytest.mark.parametrize("word", [
+    ((2, 0), (2, None), (3, 0)),  # ahead of a bad c
+    ((2, 0), (2, "a"), (3, 0)),
+    ((2, 0), (2, None)),  # past a symbol out of bounds
+])
+@pytest.mark.parametrize("name", ["circle_count", "invariant_reports", "normalize", "trace_diagram"])
+def test_non_int_d_past_where_check_validity_stops_is_refused(name, word):
+    # check_validity names the first bad symbol without reading the
+    # symbols past it, so require_valid meets such a d first.
+    call = TEXT_CALLS.get(name, lambda word: invariant_reports(word, tanglekit.count_monoid()))
+    with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
+        call(word)
 
 
 def test_encode_reads_only_a_generator_words_elements():
