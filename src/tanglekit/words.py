@@ -58,9 +58,11 @@ and backward to a pair whose backward swap it applies to forward:
     R2   ( 2, 2)  k <= l-2        R3.2 ( 2,-2)  k <= l
     R3.1 (-2, 2)  k <= l-4        R4   (-2,-2)  k <= l-2
 
-`swap` is the one rewrite formula here: rewriting.normalize applies it
-and checks that each rewrite keeps the word valid, and
-tests/reference_rewriting.py matches each rule's pattern from the table.
+This table is the statement of the exchange.  rewriting's loop writes
+each site's two new d's from it on int lists and checks that each
+rewrite keeps the word valid; tests/reference_rewriting.py spells it as
+swap, the specification that loop is tested against, and matches each
+rule's pattern from the table.
 """
 
 from __future__ import annotations
@@ -230,12 +232,13 @@ def check_validity(sym) -> int | None:
             raise ParseError(_WRONG_FORM)
         bound = floor - pre - 2 if c == 2 else floor - pre
         if c not in (2, -2) or abs(d) > bound:
+            if not all(isinstance(s, tuple) and isinstance(s[0], int) and isinstance(s[1], int)
+                       for s in sym[i + 1:]):
+                raise ParseError(_WRONG_FORM)
             if all(c_j in (2, -2) for c_j, _ in sym):
                 return i
-            # A bad c moves floor, so name what require_valid names first;
-            # the entries past symbol i are not yet known to be ints.
-            return next(j for j, (c_j, d_j) in enumerate(sym)
-                        if c_j not in (2, -2) or isinstance(d_j, int) and d_j % 2)
+            # A bad c moves floor, so name what require_valid names first.
+            return next(j for j, (c_j, d_j) in enumerate(sym) if c_j not in (2, -2) or d_j % 2)
         pre += c
     return None
 
@@ -245,8 +248,6 @@ def require_valid(sym) -> None:
     for i, (c, d) in enumerate(sym):
         if c not in (2, -2):
             raise ParseError(f"symbol {i + 1}: first component must be +-2", i + 1)
-        if not isinstance(d, (int, float)):  # check_validity stops at the first bad symbol
-            raise ParseError(_WRONG_FORM)
         if d % 2:
             raise ParseError(f"symbol {i + 1}: d={d} must be even", i + 1)
     if bad is not None:
@@ -285,17 +286,6 @@ def decode(sym) -> GenWord:
         out.append(gen)
         width = gen.out_width
     return tuple(reversed(out))
-
-
-# -- local rewrites ------------------------------------------------------
-
-def swap(a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, Symbol]:
-    """Exchange the adjacent symbols `a b`: each moves its d by the
-    other's sign, up when forward and down when backward."""
-    (ca, da), (cb, db) = a, b
-    if forward:
-        return (cb, db + ca), (ca, da + cb)
-    return (cb, db - ca), (ca, da - cb)
 
 
 # -- text syntaxes -------------------------------------------------------

@@ -59,15 +59,14 @@ _ROSSER = "the m-th prime is below m * (log m + log log m) for m >= 6 (Rosser), 
 _ONE = "at width 1 the checks' loop finds no pair of intervals to compare"
 _DESCENDING = "a step-2 rewrite leaves its pair descending, so pair 0 need not be scanned again"
 EQUIVALENT = {
-    ("rewriting", "pre = list(accumulate((c for c, _ in word), initial=0))", "0 -> -1"): _EVEN,
+    ("rewriting", "pre = list(accumulate(cs, initial=0))", "0 -> -1"): _EVEN,
     ("rewriting", "i = 0  # step 1", "0 -> 1"): _FIRST,
-    ("rewriting", "i = 0  # step 2; a same-sign swap leaves pre as it is", "0 -> -1"): _LAST,
+    ("rewriting", "i = 0  # step 2; a same-sign exchange leaves cs and pre as they are", "0 -> -1"): _LAST,
     ("rewriting", "bound = -pre[i] - 2", "2 -> 1"): _EVEN,
-    ("rewriting", "if abs(new_a[1]) > bound or abs(new_b[1]) > bound - 2:", "2 -> 1"): _EVEN,
-    ("rewriting", "if abs(new_a[1]) > bound or abs(new_b[1]) > bound + 2:", "2 -> 3"): _EVEN,
-    ("rewriting", "i = i - 1 if i else 0", "1 -> 2"): _RESCAN + "; " + _LAST,
-    ("rewriting", "i = i - 1 if i else 0", "0 -> 1"): _DESCENDING,
-    ("rewriting", "i = i - 1 if i else 0", "0 -> -1"): _LAST,
+    ("rewriting", "if not (-bound <= x <= bound and 2 - bound <= y <= bound - 2):", "2 -> 1"): _EVEN,
+    ("rewriting", "if not (-bound <= x <= bound and 2 - bound <= y <= bound - 2):", "2 -> 1 #2"): _EVEN,
+    ("rewriting", "if not (-bound <= x <= bound and -2 - bound <= y <= bound + 2):", "2 -> 3"): _EVEN,
+    ("rewriting", "if not (-bound <= x <= bound and -2 - bound <= y <= bound + 2):", "2 -> 3 #2"): _EVEN,
     ("rewriting", "i = i - 1 if i else 0  # R4 can rewrite (-2,0)(-2,2) at pair 0", "1 -> 2"):
         _RESCAN + "; " + _LAST,
     ("rewriting", "i = i - 1 if i else 0  # R4 can rewrite (-2,0)(-2,2) at pair 0", "0 -> 1"): _DESCENDING,
@@ -83,7 +82,7 @@ EQUIVALENT = {
     ("rewriting", "while i < hi:  # step 3", "< -> <="):
         "the extra pair is pair n, or one the last step-4 rewrite left as it was, with no R1",
     ("rewriting", "while i4 < n:  # step 4", "< -> <="): _LAST,
-    ("rewriting", "if b[0] == 2 and a[1] <= b[1] - 4:", "4 -> 3"):
+    ("rewriting", "if cs[i4] == -2 and cs[i4 + 1] == 2 and ds[i4] <= ds[i4 + 1] - 4:", "4 -> 3"):
         "d's are even, so k <= l - 3 and k <= l - 4 agree",
     ("rewriting", "bound = -pre[i4] - 2", "2 -> 1"): _EVEN,
     ("rewriting", "hi = i4 + 2 if i4 + 2 < n else n", "2 -> 3"):

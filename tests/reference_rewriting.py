@@ -18,13 +18,23 @@ from tanglekit.errors import InternalInvariantError, ResourceLimitError
 from tanglekit.rewriting import (
     DEFAULT_MAX_REWRITES, Forest, RewriteStep, fold, rewrite_potential,
 )
-from tanglekit.words import Symbol, SymWord, check_validity, format_sym, require_valid, swap
+from tanglekit.words import Symbol, SymWord, check_validity, format_sym, require_valid
 
 
 # -- local rewrites ------------------------------------------------------
 
 def _r1_match(a: Symbol, b: Symbol) -> bool:
     return a[0] == -2 and b[0] == 2 and b[1] in (a[1] + 2, a[1] - 2)
+
+
+def swap(a: Symbol, b: Symbol, forward: bool = True) -> tuple[Symbol, Symbol]:
+    """Exchange the adjacent symbols `a b`, the one formula of the rule
+    table in the words docstring: each moves its d by the other's sign,
+    up when forward and down when backward."""
+    (ca, da), (cb, db) = a, b
+    if forward:
+        return (cb, db + ca), (ca, da + cb)
+    return (cb, db - ca), (ca, da - cb)
 
 
 # The signs (c_a, c_b) of the pair each exchange rule rewrites forward.

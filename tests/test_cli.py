@@ -203,7 +203,13 @@ class TestExitCodes:
     def test_broken_rewrite_is_two(self, monkeypatch):
         # normalize checks the new symbols of each rewrite; a rewrite that
         # breaks the validity condition is a bug, not bad input
-        monkeypatch.setattr(rewriting, "swap", lambda a, b, forward=True: ((b[0], 100), (a[0], 100)))
+        loop = rewriting._rewrites
+
+        def bent(cs, ds):
+            ds[2] = 100  # (-2,0)(-2,100) at pair 1: R4 writes (-2,98) where |d| <= 2
+            return loop(cs, ds)
+
+        monkeypatch.setattr(rewriting, "_rewrites", bent)
         code, out, err = run(["normalize", "(-2,0)(-2,0)(-2,2)(2,2)(2,2)(2,0)"])
         assert (code, out, err) == (2, "", "INTERNAL: rewrite R4 broke the validity condition\n")
 

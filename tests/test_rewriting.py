@@ -16,6 +16,8 @@ from reference_rewriting import (
     forest_size,
     reference_forest_string,
     reference_normalize,
+    rewrite_pair,
+    swap,
 )
 from reference_words import out_of_bounds
 from tanglekit import rewriting, words
@@ -193,8 +195,9 @@ class TestAgainstReference:
 
 
 class TestRewriteSites:
-    """The loop's three rewrite sites: each checks its two new symbols
-    against a bound of its own, and each exchange is one words.swap."""
+    """The loop's exchange sites: each checks its two new symbols
+    against a bound of its own, and each writes the pair that the
+    reference swap gives."""
 
     # (step, rule, forward) of each kind of exchange the loop makes
     KINDS = [(1, "R3.2", True), (1, "R3.1", False), (2, "R2", True), (2, "R4", True),
@@ -204,56 +207,85 @@ class TestRewriteSites:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: f"step{kind[0]}-{kind[1]}-{kind[2]}")
-    def test_each_site_refuses_the_first_invalid_d(self, monkeypatch, kind, side):
-        # At the first rewrite of this kind, swap returns one symbol with
+    def test_each_site_refuses_the_first_invalid_d(self, kind, side):
+        # At the first rewrite of this kind, the new symbol on `side` gets
         # the smallest even |d| that out_of_bounds refuses at its place:
         # the loop must stop there, so no site's bound is looser.
-        self.refuse_at(monkeypatch, kind, side, 0)
+        self.refuse_at(kind, side, 0)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: f"step{kind[0]}-{kind[1]}-{kind[2]}")
-    def test_each_site_refuses_the_first_invalid_d_at_its_last_rewrite(self, monkeypatch, kind, side):
+    def test_each_site_refuses_the_first_invalid_d_at_its_last_rewrite(self, kind, side):
         # By the last rewrite of a kind the prefix sums have moved many
         # times, so a prefix sum kept wrongly shows as a looser bound.
-        self.refuse_at(monkeypatch, kind, side, -1)
+        self.refuse_at(kind, side, -1)
 
-    def refuse_at(self, monkeypatch, kind, side, which):
+    def refuse_at(self, kind, side, which):
+        # The loop runs to the rewrite before the target; then the old d
+        # that the new symbol on `side` is made from is edited in place,
+        # keeping the pair's match and direction.  At the refused d the
+        # loop must raise the rule's message, and one step short of it
+        # make the target rewrite, so no site's bound is stricter either.
         word, total = self.SITE_WORD, sum(c for c, _ in self.SITE_WORD)
         _, ref_trace = reference_normalize(word)
         at = [k for k, s in enumerate(ref_trace) if (s.step, s.rule, s.forward) == kind][which]
+        target = ref_trace[at]
         before = ref_trace[at - 1].word if at else word
-        pre = sum(c for c, _ in before[:ref_trace[at].pos])
-        swaps_before = sum(s.rule != "R1" for s in ref_trace[:at])
-        plain = rewriting.swap
-        calls = []
+        pos, forward, j = target.pos, target.forward, 0 if side == "left" else 1
+        a, b = before[pos], before[pos + 1]
+        new = swap(a, b, forward)
+        c, here = new[j][0], sum(c for c, _ in before[:pos]) + j * new[0][0]
+        refused = next(d for d in count(0, 2) if out_of_bounds(c, d, here, total))
+        shift = new[j][1] - before[pos + 1 - j][1]  # new d on side j = the other old d + shift
 
-        def bent(a, b, forward=True):
-            new = list(plain(a, b, forward))
-            if len(calls) == swaps_before:
-                j = 0 if side == "left" else 1
-                c, here = new[j][0], pre + j * new[0][0]
-                new[j] = (c, next(d for d in count(0, 2) if out_of_bounds(c, d, here, total)))
-            calls.append((a, b))
-            return tuple(new)
+        def edited(d):
+            """The pair whose rewrite gives d to the new symbol on side j."""
+            pair = [a, b]
+            pair[1 - j] = (pair[1 - j][0], d - shift)
+            return pair
 
-        monkeypatch.setattr(rewriting, "swap", bent)
+        def keeps_match(pair):
+            try:
+                rewrite_pair(target.rule, *pair, forward)
+            except ValueError:
+                return False
+            return kind[0] != 1 or (pair[0][1] <= pair[1][1]) == forward
+
+        sign = next(sign for sign in (1, -1)
+                    if keeps_match(edited(sign * refused)) and keeps_match(edited(sign * (refused - 2))))
         message = f"^rewrite {re.escape(kind[1])} broke the validity condition$"
-        with pytest.raises(InternalInvariantError, match=message):
-            normalize(word)
-        assert len(calls) == swaps_before + 1
+        for value in (sign * (refused - 2), sign * refused):
+            cs, ds = [c for c, _ in word], [d for _, d in word]
+            loop = rewriting._rewrites(cs, ds)
+            done = [next(loop) for _ in range(at)]
+            assert done == [(s.step, s.rule, s.forward, s.pos) for s in ref_trace[:at]]
+            assert tuple(zip(cs, ds)) == before
+            pair = edited(value)
+            ds[pos + 1 - j] = pair[1 - j][1]
+            if value == sign * refused:
+                with pytest.raises(InternalInvariantError, match=message):
+                    next(loop)
+                assert tuple(zip(cs, ds))[pos:pos + 2] == tuple(pair)  # refused before writing
+            else:
+                assert next(loop) == (target.step, target.rule, forward, pos)
+                assert tuple(zip(cs, ds))[pos:pos + 2] == swap(*pair, forward)
 
-    def test_swap_is_called_once_per_exchange(self, monkeypatch):
-        plain = rewriting.swap
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return plain(*args)
-
-        monkeypatch.setattr(rewriting, "swap", counted)
+    def test_each_rewrite_is_the_reference_rewrite(self):
+        # R1 deletes its pair, and every other rewrite replaces its pair
+        # by the reference swap of it and leaves the rest of the word.
         _, trace = normalize(self.LONG_WORD)
         assert len(trace) == 130_264
-        assert len(calls) == 130_264 - 124  # every rewrite but the R1 deletions
+        before, exchanges = self.LONG_WORD, 0
+        for step in trace:
+            pos = step.pos
+            if step.rule == "R1":
+                pair = ()
+            else:
+                pair = swap(before[pos], before[pos + 1], step.forward)
+                exchanges += 1
+            assert step.word == before[:pos] + pair + before[pos + 2:]
+            before = step.word
+        assert exchanges == 130_264 - 124
 
     def test_rule_counts_of_a_long_word(self):
         # too long for the reference; leftmost match everywhere fixes

@@ -10,7 +10,7 @@ import reference_rewriting
 import reference_words
 import tanglekit
 from conftest import iter_closed_words
-from reference_rewriting import apply_relation, rewrite_pair
+from reference_rewriting import apply_relation, rewrite_pair, swap
 from tanglekit import operators, words
 from tanglekit.errors import InternalInvariantError, ParseError
 from tanglekit.invariants import invariant_reports
@@ -26,7 +26,6 @@ from tanglekit.words import (
     parse_word,
     random_word,
     slots,
-    swap,
     to_gen_word,
     to_sym_word,
     width_profile,
@@ -133,10 +132,10 @@ class TestValidity:
         assert check_validity(((-2, 0), (1, 0))) == 1
         with pytest.raises(ParseError, match="^symbol 2: first component must be"):
             tanglekit.normalize(((-2, 0), (1, 0)))
-        # Ahead of an entry that is not an int, too.
-        assert check_validity(((-2, 0), (2, 0.0), (-1, 0))) == 2
-        with pytest.raises(ParseError, match="^symbol 3: first component must be"):
-            tanglekit.normalize(((-2, 0), (2, 0.0), (-1, 0)))
+        # An entry that is not an int is refused ahead of it, as wrong form.
+        for call in (check_validity, tanglekit.normalize):
+            with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
+                call(((-2, 0), (2, 0.0), (-1, 0)))
 
     @pytest.mark.parametrize("sym, bad", [
         (((-2, 1), (1, 0)), 0),  # an odd d, then a bad c
@@ -645,10 +644,11 @@ def test_malformed_words_get_typed_refusals(word):
     ((2, 0), (2, "a"), (3, 0)),
     ((2, 0), (2, None)),  # past a symbol out of bounds
 ])
-@pytest.mark.parametrize("name", ["circle_count", "invariant_reports", "normalize", "trace_diagram"])
+@pytest.mark.parametrize("name", ["check_validity", "circle_count", "invariant_reports", "normalize",
+                                  "trace_diagram"])
 def test_non_int_d_past_where_check_validity_stops_is_refused(name, word):
-    # check_validity names the first bad symbol without reading the
-    # symbols past it, so require_valid meets such a d first.
+    # check_validity stops its walk at the first bad symbol, and checks
+    # the form of the symbols past it before it names that symbol.
     call = TEXT_CALLS.get(name, lambda word: invariant_reports(word, tanglekit.count_monoid()))
     with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
         call(word)
