@@ -25,7 +25,7 @@ from .invariants import (
     word_value,
 )
 from .lomonoid import MonoidSpec, count_monoid, lattice_monoid, prime_monoid
-from .rewriting import Forest, canonical, normalize, rewrite_potential, to_forest
+from .rewriting import Forest, canonical, normalize, to_forest
 from .operators import add_value, cap, cup, eval_word, mirror, random_state
 from .oracle import completeness_report, enumerate_forests, trace_diagram
 from .states import TangleState, trivial, validate
@@ -65,7 +65,6 @@ __all__ = [
     "parse_word",
     "prime_monoid",
     "random_state",
-    "rewrite_potential",
     "to_forest",
     "trace_diagram",
     "trivial",

@@ -16,6 +16,9 @@ normalize --max-steps, or a prime value needing an index past the prime
 table).  All randomness is seeded and the seed is echoed, so any
 failure replays.
 
+Each call is parsed once: a call that starts with a command name is
+read by that command's own parser alone, which build_parser keeps by name.
+
 `selftest` checks the library's own routes; the paper's Boolean matrix
 identities are checked by the test suite, on tests/boolean_algebra.py.
 """
@@ -135,61 +138,71 @@ def _cmd_selftest(args) -> int:
     return run_selftest(seed=args.seed, trials=args.trials)
 
 
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}  # filled by build_parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by
-    every call; parsing leaves it unchanged, and callers must too."""
+    every call; parsing leaves it unchanged, and callers must too.  It
+    keeps each command's own parser in _COMMANDS, for main's one parse."""
     parser = argparse.ArgumentParser(
         prog="tanglekit",
         description="normalize, evaluate and classify systems of disjoint planar curves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a word's validity")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_validate)
+    def command(name, func, help):
+        p = _COMMANDS[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, command=name)  # as the top-level parser sets it
+        return p
 
-    p = sub.add_parser("normalize", help="rewrite to a word of (+-2,0) symbols")
+    p = command("validate", _cmd_validate, "check a word's validity")
+    p.add_argument("word")
+
+    p = command("normalize", _cmd_normalize, "rewrite to a word of (+-2,0) symbols")
     p.add_argument("word")
     p.add_argument("--trace", action="store_true", help="print one line per rewrite")
     p.add_argument(
         "--max-steps", type=int, default=rewriting.DEFAULT_MAX_REWRITES,
         help="rewrites allowed before giving up with exit 3",
     )
-    p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("invariant", help="compute the invariant both ways")
+    p = command("invariant", _cmd_invariant, "compute the invariant both ways")
     p.add_argument("word")
     p.add_argument("--monoid", choices=("prime", "count"), default="prime")
-    p.set_defaults(func=_cmd_invariant)
 
-    p = sub.add_parser("equiv", help="decide isotopy equivalence of two closed words")
+    p = command("equiv", _cmd_equiv, "decide isotopy equivalence of two closed words")
     p.add_argument("word_a")
     p.add_argument("word_b")
-    p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("enumerate", help="all nesting forests up to a circle count")
+    p = command("enumerate", _cmd_enumerate, "all nesting forests up to a circle count")
     p.add_argument("--circles", type=int, required=True)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("eval", help="evaluate a word on the trivial state")
+    p = command("eval", _cmd_eval, "evaluate a word on the trivial state")
     p.add_argument("word")
     p.add_argument("--monoid", choices=("prime", "count"), default="prime")
     p.add_argument("--steps", action="store_true", help="print each intermediate state")
     p.add_argument("--show-state", action="store_true", help="dump the final state")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("selftest", help="seeded property sweep over every suite")
+    p = command("selftest", _cmd_selftest, "seeded property sweep over every suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        if command is None:  # no arguments, --help, an unknown command, an option first
+            args = parser.parse_args(argv)
+        else:  # what the top-level parser would run, and its error for leftovers
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; our contract reserves 2.
         return EXIT_OK if exc.code == 0 else EXIT_INVALID

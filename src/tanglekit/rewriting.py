@@ -40,10 +40,9 @@ So a rewrite costs O(1) work, about 0.45 us in CPython 3.11 on a 2-core
 VM.  The word is rescanned from the start only after an R1 deletion.
 One generator runs the algorithm: normalize drains it and keeps only
 the start word and the rewrite count, and a trace reruns it when read.
-Each step carries the word after its rewrite, and its potential is
-rewrite_potential of that word, measured when asked for, so a trace
-replays rule by rule: tests/reference_rewriting.py does so with each
-rule written out.
+Each step carries the word after its rewrite, so a trace replays rule
+by rule: tests/reference_rewriting.py does so with each rule written
+out.
 
 Termination is watched two ways: here by a global rewrite cap (a
 resource limit, CLI-configurable, raising ResourceLimitError), and in
@@ -80,22 +79,6 @@ DEFAULT_MAX_REWRITES = 10**6
 Forest = tuple
 
 
-# -- potential -----------------------------------------------------------
-
-def rewrite_potential(sym) -> tuple[int, int]:
-    """Lexicographic termination measure: (sum of 1-based positions of
-    the (2,*) symbols, sum of cup d's minus sum of cap d's)."""
-    pos_sum = 0
-    d_balance = 0
-    for i, (c, d) in enumerate(sym, start=1):
-        if c == 2:
-            pos_sum += i
-            d_balance -= d
-        else:
-            d_balance += d
-    return (pos_sum, d_balance)
-
-
 # -- the algorithm --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -105,10 +88,6 @@ class RewriteStep:
     forward: bool
     pos: int                  # 0-based left index of the rewritten pair
     word: SymWord             # word after the rewrite
-
-    @property
-    def potential(self) -> tuple[int, int]:
-        return rewrite_potential(self.word)
 
     def describe(self) -> str:
         mark = "" if self.forward else "'"

@@ -127,6 +127,13 @@ EQUIVALENT = {
     ("words", "steps.append((False, (d + width + 1) >> 1))", "1 -> 2"): _PARITY,
     ("words", "floor = total if total < 0 else 0", "< -> <="): "floor is 0 at total 0 either way",
     ("words", "floor = total if total < 0 else 0", "0 -> 1"): "floor is 0 at total 0 either way",
+    ("words", "floor = total if total < 0 else 0", "0 -> -1"):
+        ("total is -1 only with a c that is not +-2, and then the index returned is the first "
+         "bad c or odd d wherever the walk stops"),
+    ("words", "if not all(isinstance(s, tuple) and isinstance(s[0], int) and isinstance(s[1], int)",
+     "0 -> -1"): "total's sum has unpacked every symbol into two, so a tuple's s[-1] is s[1]",
+    ("words", "for s in sym[i + 1:]):", "1 -> 0"):
+        "symbol i passed the form check at the top of its own iteration",
     ("words", "found = _SYM_TOKEN.findall(text, 0, end)", "0 -> -1"): "re reads a negative pos as 0",
     ("words", "can_close = q >= 2", "2 -> 1"): "q moves by 2 from 0, so it is never 1",
     ("words", "remaining = length - i - 1", "1 -> 0"):

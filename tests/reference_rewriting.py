@@ -15,10 +15,24 @@ tanglekit.rewriting.normalize must return exactly the same (word, trace).
 from __future__ import annotations
 
 from tanglekit.errors import InternalInvariantError, ResourceLimitError
-from tanglekit.rewriting import (
-    DEFAULT_MAX_REWRITES, Forest, RewriteStep, fold, rewrite_potential,
-)
+from tanglekit.rewriting import DEFAULT_MAX_REWRITES, Forest, RewriteStep, fold
 from tanglekit.words import Symbol, SymWord, check_validity, format_sym, require_valid
+
+
+# -- potential -----------------------------------------------------------
+
+def rewrite_potential(sym) -> tuple[int, int]:
+    """Lexicographic termination measure: (sum of 1-based positions of
+    the (2,*) symbols, sum of cup d's minus sum of cap d's)."""
+    pos_sum = 0
+    d_balance = 0
+    for i, (c, d) in enumerate(sym, start=1):
+        if c == 2:
+            pos_sum += i
+            d_balance -= d
+        else:
+            d_balance += d
+    return (pos_sum, d_balance)
 
 
 # -- local rewrites ------------------------------------------------------

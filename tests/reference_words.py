@@ -1,14 +1,15 @@
 """Specifications that the library's word reading is tested against:
-the symbol-text reader token by token, and the validity check and slot
-listing of a symbol word in three walks, each written as directly as
-the condition reads.
+the symbol-text and generator-text readers token by token, and the
+validity check and slot listing of a symbol word in three walks, each
+written as directly as the condition reads.
 
 parse_sym here runs a regex over the text, a findall over its prefix
-and two int() calls per token; slots checks the validity condition in
-two walks, one out_of_bounds call per symbol with both of its bounds,
-and lists the steps in a third.  tanglekit.words.parse_sym and
-tanglekit.words.slots must return exactly what these return, and raise
-the same error, message and position included.
+and two int() calls per token; parse_gen matches and builds one
+Generator per token; slots checks the validity condition in two walks,
+one out_of_bounds call per symbol with both of its bounds, and lists
+the steps in a third.  tanglekit.words.parse_sym, parse_gen and slots
+must return exactly what these return, and raise the same error,
+message and position included.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import re
 
 from tanglekit.errors import ParseError
-from tanglekit.words import format_sym
+from tanglekit.words import Generator, format_sym
 
+_GEN_TOKEN = re.compile(r"([HU])\(([0-9]+),([0-9]+)\)\Z")
 _SYM_TOKEN = re.compile(r"\((-?[0-9]+),(-?[0-9]+)\)")
 _SYM_RUN = re.compile(r"(?:\(-?[0-9]+,-?[0-9]+\))*")
 
@@ -36,6 +38,23 @@ def parse_sym(text: str):
     if end < len(text):
         index = len(out) + 1
         raise ParseError(f"symbol {index}: bad token at {text[end:end + 8]!r}", index)
+    return tuple(out)
+
+
+def parse_gen(text: str):
+    text = text.strip()
+    if not text:
+        return ()
+    out = []
+    for index, token in enumerate(text.split(";"), start=1):
+        m = _GEN_TOKEN.match(token.strip())
+        if not m:
+            raise ParseError(f"generator {index}: bad token {token.strip()!r}", index)
+        kind = "cap" if m.group(1) == "H" else "cup"
+        try:
+            out.append(Generator(kind, int(m.group(2)), int(m.group(3))))
+        except ValueError as exc:
+            raise ParseError(f"generator {index}: {exc}", index) from exc
     return tuple(out)
 
 

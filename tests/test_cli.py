@@ -12,6 +12,7 @@ import pytest
 
 from tanglekit import cli, lomonoid, oracle, rewriting, words
 from tanglekit.cli import build_parser, main
+from tanglekit.errors import InternalInvariantError, ResourceLimitError
 from tanglekit.words import Generator
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -97,6 +98,112 @@ def test_one_parser_keeps_no_options_between_calls():
     code, traced, _ = run(["normalize", "--trace", word])
     assert code == 0 and traced.count("\n") > 1
     assert run(["normalize", word]) == (0, traced.splitlines(keepends=True)[-1], "")
+
+
+def two_level_main(argv):
+    """main as a two-level argparse parse runs a call: the top-level
+    parser reads the command name and runs that command's parser on the
+    rest, then args.func runs.  The specification of main's one parse."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return cli.EXIT_OK if exc.code == 0 else cli.EXIT_INVALID
+    try:
+        cli._read_stdin_words(args)
+        return args.func(args)
+    except InternalInvariantError as exc:
+        print(f"INTERNAL: {exc}", file=sys.stderr)
+        return cli.EXIT_INTERNAL
+    except ResourceLimitError as exc:
+        print(f"LIMIT: {exc}", file=sys.stderr)
+        return cli.EXIT_LIMIT
+    except ValueError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return cli.EXIT_INVALID
+
+
+CIRCLE_TEXT = "(-2,0)(2,0)"
+COMMANDS = ("validate", "normalize", "invariant", "equiv", "enumerate", "eval", "selftest")
+# (argv, stdin) of calls that parse, fail to parse, or ask for help.
+ARGV = {
+    "no_arguments": ([], ""),
+    "help": (["--help"], ""),
+    "help_before_a_command": (["-h", "validate"], ""),
+    "command_help": (["validate", "-h"], ""),
+    "unknown_command": (["frobnicate", CIRCLE_TEXT], ""),
+    "missing_positional": (["equiv", CIRCLE_TEXT], ""),
+    "extra_positional": (["validate", CIRCLE_TEXT, "(2,0)", "x"], ""),
+    "extra_option": (["validate", CIRCLE_TEXT, "--trace"], ""),
+    "option_with_equals": (["normalize", "--max-steps=3", "(-2,0)(-2,0)(2,2)(2,0)"], ""),
+    "abbreviated_option": (["normalize", "--max", "3", "(-2,0)(-2,0)(2,2)(2,0)"], ""),
+    "abbreviated_choice_option": (["invariant", CIRCLE_TEXT, "--mon", "count"], ""),
+    "bad_choice": (["invariant", CIRCLE_TEXT, "--monoid", "sum"], ""),
+    "double_dash_before_a_word": (["validate", "--", CIRCLE_TEXT], ""),
+    "option_before_the_positionals": (["normalize", "--trace", "(-2,0)(-2,0)(2,2)(2,0)"], ""),
+    "option_before_the_command": (["--trace", "normalize", CIRCLE_TEXT], ""),
+    "stdin_word": (["equiv", "-", "U(1,2);H(1,2)"], CIRCLE_TEXT + "\n"),
+    "bad_word": (["validate", "(2,1)"], ""),
+    "required_option_missing": (["enumerate"], ""),
+}
+
+
+def recorded_run(monkeypatch, call, argv, stdin):
+    """(exit code, stdout, stderr, parsed namespace or None) of call(argv)."""
+    seen = []
+    read = cli._read_stdin_words
+
+    def recording(args):
+        read(args)
+        seen.append(dict(vars(args)))
+
+    monkeypatch.setattr(cli, "_read_stdin_words", recording)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = call(list(argv))
+    return code, out.getvalue(), err.getvalue(), seen[0] if seen else None
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_one_parse_answers_as_the_two_level_parse(monkeypatch, name):
+    argv, stdin = ARGV[name]
+    expected = recorded_run(monkeypatch, two_level_main, argv, stdin)
+    assert recorded_run(monkeypatch, main, argv, stdin) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ARGV))
+def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, name):
+    # The top-level parser runs only for a call that does not start with
+    # a command name; for one that does, the command's parser reads the
+    # rest and the top-level parser only reports leftovers.
+    argv, stdin = ARGV[name]
+
+    def refuse(*_):
+        raise RuntimeError("the top-level parser ran")
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    if argv and argv[0] in COMMANDS:
+        run(argv)
+    else:
+        with pytest.raises(RuntimeError, match="^the top-level parser ran$"):
+            run(argv)
+
+
+def test_every_command_has_its_own_parser():
+    build_parser()
+    assert {name: parser.prog for name, parser in cli._COMMANDS.items()} == {
+        name: f"tanglekit {name}" for name in COMMANDS}
+
+
+def test_selftest_defaults():
+    args = build_parser().parse_args(["selftest"])
+    assert (args.seed, args.trials) == (0, 200)
+
+
+def test_main_reads_the_process_arguments(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["tanglekit", "validate", CIRCLE_TEXT])
+    assert run(None) == (0, "VALID 2 symbols\n", "")
 
 
 class TestExitCodes:

@@ -5,9 +5,9 @@ run to run, so their growth on a scaling family is a deterministic
 measure of Python steps.  Nests, rows and random words of 250 to 2,000
 circles must grow with a log-log slope of at most 1.1: O(1) Python
 steps per generator, for the sweep, for the operators and for the
-invariant command's two routes together.  Reading a symbol text costs
-Python steps per distinct token only, so a nest's text costs the same
-at every depth.  normalize's steps must grow with
+invariant command's two routes together.  Reading a symbol or a
+generator text costs Python steps per distinct token only, so a nest's
+symbol text and a row's generator text cost the same at every size.  normalize's steps must grow with
 its rewrite count at a slope of at most 1.1 on random words of 40 to
 160 symbols: O(1) Python steps per rewrite, and at most 26.5 of them
 on each word, which a call per exchange would exceed.  Memory is not fitted
@@ -32,7 +32,7 @@ from tanglekit.invariants import invariant_reports
 from tanglekit.lomonoid import count_monoid
 from tanglekit.operators import closed_values
 from tanglekit.oracle import trace_diagram
-from tanglekit.words import format_sym, parse_sym, random_word
+from tanglekit.words import format_sym, parse_gen, parse_sym, random_word
 
 PACKAGE = os.path.dirname(tanglekit.__file__) + os.sep
 SIZES = (250, 500, 1000, 2000)
@@ -111,6 +111,12 @@ def test_python_steps_are_linear(route, family):
 def test_reading_a_nest_costs_the_same_at_every_depth():
     texts = [format_sym(FAMILIES["nest"](n)) for n in SIZES]
     counts = [line_events(parse_sym, text) for text in texts]
+    assert len(set(counts)) == 1, counts
+
+
+def test_reading_a_row_of_generators_costs_the_same_at_every_length():
+    texts = [";".join(["U(1,2);H(1,2)"] * n) for n in SIZES]
+    counts = [line_events(parse_gen, text) for text in texts]
     assert len(set(counts)) == 1, counts
 
 

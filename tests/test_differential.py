@@ -36,7 +36,7 @@ def test_normalize_is_the_reference_and_the_sweep_forest(sym):
     normal, trace = normalize(sym)
     ref_normal, ref_trace = reference_normalize(sym)
     assert normal == ref_normal
-    assert list(trace) == ref_trace  # step for step, potentials included
+    assert list(trace) == ref_trace  # step for step, each word included
     assert canonical(to_forest(normal)) == canonical(trace_diagram(sym))
 
 

@@ -149,7 +149,7 @@ def test_the_rewrite_loop_calls_no_helper():
 
 
 def test_the_rewrite_loop_keeps_no_potential():
-    # A trace measures each step's potential from its word; the loop
+    # The tests measure each step's potential from its word; the loop
     # yields (step, rule, forward, pos) and carries no potential of its
     # own, so no hand-derived delta can drift from rewrite_potential.
     loop = function("rewriting", "_rewrites")

@@ -426,6 +426,51 @@ class TestParsing:
             assert parse_gen(format_gen(word)) == word
 
 
+class TestGeneratorParse:
+    """A generator text is read one distinct token at a time; its errors
+    are those of the token-by-token read, first in generator order."""
+
+    def test_repeated_tokens_build_one_generator_each(self, monkeypatch):
+        built = []
+        plain_post_init = Generator.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            plain_post_init(self)
+
+        monkeypatch.setattr(Generator, "__post_init__", counting_post_init)
+        assert parse_gen(" U(1,2) ;H(1,2);U(1,2); H(1,2);U(1,2);H(1,2)") == CIRCLE * 3
+        assert built == list(CIRCLE)
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("U(1,2);H(1,2);U(1,2);H(1,2);X(1,2)", "generator 5: bad token 'X(1,2)'", 5),
+        ("U(1,2);H(1,2);U(1,2);H(1,4)",
+         "generator 4: slot k=4 outside 2..2 for width parameter 1", 4),
+        ("U(1,2);H(1,2);U(1,2); H(0,2) ",
+         "generator 4: generator width parameter 0 must be >= 1", 4),
+        ("H(1,4);U(1,2);X;H(1,4)", "generator 1: slot k=4 outside 2..2 for width parameter 1", 1),
+        ("U(1,2);U(1,2);X;H(1,4)", "generator 3: bad token 'X'", 3),
+        ("U(1,2);U(1,2); ;U(1,2)", "generator 3: bad token ''", 3),
+    ])
+    def test_first_error_in_generator_order(self, text, message, position):
+        with pytest.raises(ParseError) as excinfo:
+            parse_gen(text)
+        assert (str(excinfo.value), excinfo.value.position) == (message, position)
+        assert outcome(parse_gen, text) == outcome(reference_words.parse_gen, text)
+
+    @pytest.mark.parametrize("text, position", [
+        ("U(1,2);H(1,N);U(1,2);H(1,N)", 2),
+        ("U(1,2);H(1,2);U(1,2);H(N,2);X", 4),
+        ("U(1,2);U(1,2);X;H(N,2)", 3),
+    ])
+    def test_over_long_number_in_a_repeated_word(self, text, position):
+        text = text.replace("N", "2" * 5000)
+        with pytest.raises(ParseError, match=f"^generator {position}: ") as excinfo:
+            parse_gen(text)
+        assert excinfo.value.position == position
+        assert outcome(parse_gen, text) == outcome(reference_words.parse_gen, text)
+
+
 class TestSymbolParseErrors:
     """A symbol word is read in symbol order: the first symbol with a bad
     c, an odd d or a malformed token is the one reported."""
@@ -654,6 +699,12 @@ def test_non_int_d_past_where_check_validity_stops_is_refused(name, word):
         call(word)
 
 
+def test_non_int_c_past_where_check_validity_stops_is_refused():
+    # the form check past the first bad symbol reads each c as well as each d
+    with pytest.raises(ParseError, match="^a word is a sequence of symbol tuples or of Generators$"):
+        check_validity(((2, 0), (2.0, 0)))
+
+
 def test_encode_reads_only_a_generator_words_elements():
     # A symbol word comes back unchecked, for its reader to check.
     for form, word in MIXED_FORMS.items():
@@ -743,10 +794,28 @@ def mutated_texts(draw):
     return text[:at] + (char if kind == "replace" else "") + text[at + 1:]
 
 
+@st.composite
+def generator_texts(draw):
+    """Generator texts of H(n,k) and U(n,k) tokens, a slot sometimes
+    outside 2..n+1 and a token sometimes malformed, with whitespace
+    around them; tokens repeat often."""
+    pool = draw(st.lists(st.one_of(
+        st.builds("{}({},{})".format, st.sampled_from("HU"), st.integers(0, 3), st.integers(1, 5)),
+        st.sampled_from(("", "X(1,2)", "H(1,2", "U(-1,2)", "H(01,02)")),
+    ), min_size=1, max_size=4))
+    tokens = draw(st.lists(st.sampled_from(pool), max_size=12))
+    return ";".join(draw(st.sampled_from(("", " "))) + token for token in tokens)
+
+
 class TestOnePassReadersMatchTheReference:
-    """parse_sym reads distinct tokens and slots checks a symbol word in
-    one pass; each must return, or raise, exactly what the token-by-token
-    and three-walk readers of tests/reference_words.py do."""
+    """parse_sym and parse_gen read distinct tokens and slots checks a
+    symbol word in one pass; each must return, or raise, exactly what the
+    token-by-token and three-walk readers of tests/reference_words.py do."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(generator_texts())
+    def test_parse_gen(self, text):
+        assert outcome(parse_gen, text) == outcome(reference_words.parse_gen, text)
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(symbol_texts())
