@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help):
         p = _COMMANDS[name] = sub.add_parser(name, help=help)
-        p.set_defaults(func=func, command=name)  # as the top-level parser sets it
+        p.set_defaults(func=func)
         return p
 
     p = command("validate", _cmd_validate, "check a word's validity")
@@ -197,12 +197,13 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        if command is None:  # no arguments, --help, an unknown command, an option first
-            args = parser.parse_args(argv)
-        else:  # what the top-level parser would run, and its error for leftovers
-            args, extra = command.parse_known_args(argv[1:])
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        # Only a call that does not start with a command name (no arguments,
+        # --help, an unknown command, an option first) reaches the top-level
+        # parser; leftovers get its parse_args error either way.
+        args, extra = (command.parse_known_args(argv[1:]) if command
+                       else parser.parse_known_args(argv))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; our contract reserves 2.
         return EXIT_OK if exc.code == 0 else EXIT_INVALID

@@ -5,13 +5,11 @@ the zero element, and the region-closure function phi of one value
 domain.  The partial order is derived (a <= b iff a | b == b under
 join), so instances supply only the operations.
 
-Three ready-made instances, the first two built once per process
-(with_phi and dataclasses.replace make new specs):
+Three ready-made instances:
   * count_monoid  - non-negative integers, oplus=+, join=max, meet=min,
     phi(n) = n+1; the induced curve invariant counts circles.
   * prime_monoid  - positive integers, oplus=*, join=lcm, meet=gcd,
-    phi = primes.nth_prime as bound at the first call; the induced
-    invariant is complete.
+    phi(n) = n-th prime; the induced invariant is complete.
   * lattice_monoid - any finite distributive lattice with minimum,
     with oplus = join; the constructor checks every axiom exhaustively.
     It is the way to build a value domain of one's own, and two
@@ -23,7 +21,6 @@ Values travel as plain Python objects in tuples ("value arrays"), and
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -135,7 +132,6 @@ def _sample_prime_product(rng: random.Random) -> int:
     return out
 
 
-@functools.cache
 def count_monoid() -> MonoidSpec:
     """Non-negative integers under +, ordered the usual way."""
     return MonoidSpec(
@@ -149,7 +145,6 @@ def count_monoid() -> MonoidSpec:
     )
 
 
-@functools.cache
 def prime_monoid() -> MonoidSpec:
     """Positive integers under *, ordered by divisibility; phi sends n
     to the n-th prime.  Values are exact arbitrary-precision ints:

@@ -344,31 +344,28 @@ def parse_sym(text: str) -> SymWord:
     raise ParseError(f"symbol {index}: bad token at {text[end:end + 8]!r}", index)
 
 
-def _generator(token: str) -> Generator:
-    m = _GEN_TOKEN.match(token)
-    if not m:
-        raise ValueError(f"bad token {token!r}")
-    return Generator("cap" if m[1] == "H" else "cup", int(m[2]), int(m[3]))
-
-
 def parse_gen(text: str) -> GenWord:
     """Split the text at ';', strip the tokens, and read each distinct
     token once into a Generator; the word maps its tokens through that
-    table.  Only when this read fails does a token-by-token loop run,
-    to report the first error in generator order: a token that is not
-    H(n,k) or U(n,k), a number past int()'s digit limit, a bad slot."""
+    table.  Distinct tokens are read in first-appearance order, so every
+    token before the first bad one's first appearance has been read, and
+    that appearance is the first error in generator order: a token that
+    is not H(n,k) or U(n,k), a number past int()'s digit limit, a bad
+    slot."""
     text = text.strip()
     if not text:
         return ()
     tokens = list(map(str.strip, text.split(";")))
-    try:
-        table = {token: _generator(token) for token in dict.fromkeys(tokens)}
-    except ValueError:
-        for index, token in enumerate(tokens, start=1):
-            try:
-                _generator(token)
-            except ValueError as exc:
-                raise ParseError(f"generator {index}: {exc}", index) from exc
+    table = {}
+    for token in dict.fromkeys(tokens):
+        m = _GEN_TOKEN.match(token)
+        try:  # int() refuses a number past its digit limit, Generator a bad slot
+            if m is None:
+                raise ValueError(f"bad token {token!r}")
+            table[token] = Generator("cap" if m[1] == "H" else "cup", int(m[2]), int(m[3]))
+        except ValueError as exc:
+            index = tokens.index(token) + 1
+            raise ParseError(f"generator {index}: {exc}", index) from exc
     return tuple(map(table.__getitem__, tokens))
 
 

@@ -130,8 +130,6 @@ EQUIVALENT = {
     ("words", "floor = total if total < 0 else 0", "0 -> -1"):
         ("total is -1 only with a c that is not +-2, and then the index returned is the first "
          "bad c or odd d wherever the walk stops"),
-    ("words", "if not all(isinstance(s, tuple) and isinstance(s[0], int) and isinstance(s[1], int)",
-     "0 -> -1"): "total's sum has unpacked every symbol into two, so a tuple's s[-1] is s[1]",
     ("words", "for s in sym[i + 1:]):", "1 -> 0"):
         "symbol i passed the form check at the top of its own iteration",
     ("words", "found = _SYM_TOKEN.findall(text, 0, end)", "0 -> -1"): "re reads a negative pos as 0",

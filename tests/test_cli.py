@@ -148,13 +148,15 @@ ARGV = {
 
 
 def recorded_run(monkeypatch, call, argv, stdin):
-    """(exit code, stdout, stderr, parsed namespace or None) of call(argv)."""
+    """(exit code, stdout, stderr, parsed namespace or None) of call(argv).
+    The namespace leaves out args.command: only the top-level parser sets
+    it, and nothing in tanglekit reads it."""
     seen = []
     read = cli._read_stdin_words
 
     def recording(args):
         read(args)
-        seen.append(dict(vars(args)))
+        seen.append({k: v for k, v in vars(args).items() if k != "command"})
 
     monkeypatch.setattr(cli, "_read_stdin_words", recording)
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))

@@ -1,11 +1,9 @@
 """Monoid instances, axiom suite, and the Boolean action on arrays."""
 
-import dataclasses
 import random
 
 import pytest
 
-from tanglekit import primes
 from tanglekit.lomonoid import (
     axiom_failures,
     count_monoid,
@@ -64,9 +62,6 @@ class TestInstances:
         assert trivial(prime_monoid()) == trivial(prime_monoid())
         # a phi override is a different representation, never equal
         assert count_monoid().with_phi(lambda n: n) != count_monoid()
-        # a spec built apart, with lambdas of its own, is equal all the same
-        rebuilt = dataclasses.replace(count_monoid(), oplus=lambda a, b: a + b, phi=lambda n: n + 1)
-        assert rebuilt == count_monoid() and rebuilt is not count_monoid()
 
     def test_prime(self):
         p = prime_monoid()
@@ -127,27 +122,6 @@ class TestInstances:
     def test_missing_pair_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             lattice_monoid(["x", "y"], {("x", "x"): "x"}, {("x", "x"): "x"}, minimum="x")
-
-
-class TestReadyMadeSpecs:
-    """count_monoid and prime_monoid build their spec once per process."""
-
-    @pytest.mark.parametrize("make", [count_monoid, prime_monoid])
-    def test_each_call_returns_the_same_spec(self, make):
-        assert make() is make()
-
-    @pytest.mark.parametrize("make", [count_monoid, prime_monoid])
-    def test_variants_are_new_and_leave_the_spec(self, make):
-        spec = make()
-        fields = dict(vars(spec))
-        phi = spec.with_phi(lambda n: n)
-        plus = dataclasses.replace(spec, oplus=lambda a, b: a - b)
-        assert phi is not spec and plus is not spec
-        assert (phi.name, phi.phi(7), plus.oplus(5, 3)) == (f"{spec.name}+phi", 7, 2)
-        assert make() is spec and vars(spec) == fields
-
-    def test_prime_phi_is_the_prime_table(self):
-        assert prime_monoid().phi is primes.nth_prime
 
 
 class TestAxioms:
